@@ -272,6 +272,15 @@ class PreparedWeights:
     b_pad:
         Zero-padded weight matrix in the pipeline's storage dtype (FP16,
         or quantized INT8 for int8 schemes).
+    b_wide:
+        ``b_pad`` cast to the accumulation dtype
+        (:meth:`~repro.gemm.TiledGemm.widen`), cast once here so every
+        activation's clean GEMM (and every downstream replay) casts only
+        its activation.
+    digest:
+        :class:`PreparedCache` content digest of the ``b`` the state was
+        built from, taken once here so cache lookups through the state
+        never re-hash the weights.
     weight_state:
         Scheme-specific checksum arrays (e.g.
         :class:`~repro.abft.checksums.GlobalWeightChecksums`), or None
@@ -291,6 +300,8 @@ class PreparedWeights:
     n: int
     tile: TileConfig
     b_pad: np.ndarray
+    b_wide: np.ndarray
+    digest: bytes
     weight_state: Any = None
     b_scale: float | None = None
     dtype: str = "fp16"
@@ -322,6 +333,7 @@ class PreparedExecution:
         "executor",
         "a_pad",
         "b_pad",
+        "b_wide",
         "c_clean",
         "state",
         "_clean_reductions",
@@ -339,6 +351,7 @@ class PreparedExecution:
         b_pad: np.ndarray,
         c_clean: np.ndarray,
         state: Any,
+        b_wide: np.ndarray | None = None,
     ) -> None:
         self.scheme = scheme
         self.problem = problem
@@ -346,6 +359,10 @@ class PreparedExecution:
         self.executor = executor
         self.a_pad = a_pad
         self.b_pad = b_pad
+        # b_pad in the accumulation dtype when the state was prepared
+        # through PreparedWeights (None otherwise): downstream replays
+        # multiply against it without re-casting the weights.
+        self.b_wide = b_wide
         self.c_clean = c_clean
         self.state = state
         self._clean_reductions: Any = None
@@ -494,13 +511,21 @@ class PreparedExecution:
                     f"scheme {self.scheme.name!r} has no sparse "
                     f"re-reduction path; call with sparse=False or None"
                 )
-            if sites is None:
-                sites = faulted_site_values(self.c_clean, faults_batch)
-            elif sites.n_trials != len(faults_batch):
+            if sites is not None and sites.n_trials != len(faults_batch):
                 raise ConfigurationError(
                     f"precomputed sites cover {sites.n_trials} trials, "
                     f"batch has {len(faults_batch)}"
                 )
+            if not any(faults_batch):
+                # Fault-free trials strike no check: each gets the clean
+                # verdict, exactly as the sparse comparison renders an
+                # untouched trial (served clean requests land here).
+                clean = self.clean_comparison(detection).clean_verdict()
+                return self.scheme._outcome_batch_sparse(
+                    self, [clean] * len(faults_batch), faults_batch
+                )
+            if sites is None:
+                sites = faulted_site_values(self.c_clean, faults_batch)
             return self.scheme._finish_batch_sparse(
                 self, sites, faults_batch, detection
             )
@@ -533,7 +558,17 @@ class PreparedCache:
     the digest is taken at :meth:`get` time, so *mutating* an operand
     array after a hit was cached is safe (the new content digests
     differently) — but the cached state must not be mutated by
-    consumers, which no engine path does.
+    consumers, which no engine path does.  A lookup through
+    ``weights=`` reuses the digest the :class:`PreparedWeights` took of
+    ``b`` when it was built, so only the activation is hashed.
+
+    Callers whose operands can never change may hold a returned state
+    by identity instead of looking it up again:
+    :class:`~repro.api.ProtectedSession` fetches each synthesized
+    layer's state here once (so campaigns and fleet-family sessions
+    still share the entry) and then keeps the reference.  :meth:`clear`
+    drops only the cache's own references, never a state a caller
+    holds.
 
     The cache is thread-safe: an internal lock serializes :meth:`get`
     (including the miss-path ``prepare``, so racing getters of one key
@@ -602,7 +637,9 @@ class PreparedCache:
 
         ``weights``, when given, pins the tile exactly like
         :meth:`Scheme.prepare` would, so a miss prepared through the
-        weight-side state and a plain hit resolve to the same entry.
+        weight-side state and a plain hit resolve to the same entry;
+        its stored digest of ``b`` stands in for re-hashing the
+        weights (the state was built from the same ``b``).
         """
         a = np.asarray(a)
         b = np.asarray(b)
@@ -610,7 +647,8 @@ class PreparedCache:
             tile = weights.tile
         if tile is None and a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[0]:
             tile = select_tile(GemmProblem(a.shape[0], b.shape[1], a.shape[1]))
-        return (scheme.cache_token, self._digest(a), self._digest(b), tile)
+        b_digest = weights.digest if weights is not None else self._digest(b)
+        return (scheme.cache_token, self._digest(a), b_digest, tile)
 
     def get(
         self,
@@ -758,7 +796,8 @@ class Scheme(abc.ABC):
             weights.weight_state if weights is not None else None,
         )
         return PreparedExecution(
-            self, problem, chosen, executor, a_pad, b_pad, c_clean, state
+            self, problem, chosen, executor, a_pad, b_pad, c_clean, state,
+            b_wide=weights.b_wide if weights is not None else None,
         )
 
     def prepare_weights(
@@ -791,7 +830,7 @@ class Scheme(abc.ABC):
         executor = executor_for(
             GemmProblem(m if m is not None else tile.mt, n, k), tile, self.dtype
         )
-        b_pad = executor.pad_b(b)
+        b_pad, b_scale = executor.quantize_b(b)
         return PreparedWeights(
             scheme=self.name,
             k=k,
@@ -799,8 +838,10 @@ class Scheme(abc.ABC):
             tile=tile,
             b_pad=b_pad,
             weight_state=self._prepare_weight_state(executor, b_pad),
-            b_scale=executor.b_scale if self.dtype == "int8" else None,
+            b_scale=b_scale,
             dtype=self.dtype,
+            digest=PreparedCache._digest(b),
+            b_wide=executor.widen(b_pad),
         )
 
     def execute(
@@ -1069,17 +1110,18 @@ class Scheme(abc.ABC):
                 )
             chosen = weights.tile
             executor = executor_for(problem, chosen, self.dtype)
-            if weights.b_scale is not None:
-                # b is never re-read through prepared weights, so the
-                # quantization scale must travel with the padded bytes.
-                executor.b_scale = weights.b_scale
-            b_pad = weights.b_pad
+            # b is never re-read through prepared weights, so the
+            # quantization scale travels with the padded bytes.
+            b_pad, b_scale = weights.b_pad, weights.b_scale
+            b_wide = weights.b_wide
         else:
             chosen = tile if tile is not None else select_tile(problem)
             executor = executor_for(problem, chosen, self.dtype)
-            b_pad = executor.pad_b(b)
-        a_pad = executor.pad_a(a)
-        c_clean = executor.multiply(a_pad, b_pad)
+            b_pad, b_scale = executor.quantize_b(b)
+            b_wide = None
+        a_pad, a_scale = executor.quantize_a(a)
+        executor = executor.with_scales(a_scale, b_scale)
+        c_clean = executor.multiply(a_pad, b_pad, b_wide=b_wide)
         return problem, chosen, executor, a_pad, b_pad, c_clean
 
     def _outcome_batch(

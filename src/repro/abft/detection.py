@@ -10,7 +10,8 @@ accumulated magnitude can explain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -213,19 +214,23 @@ def compare_checksums_batch(
 # ----------------------------------------------------------------------
 # Sparse (slice-wise) comparison
 # ----------------------------------------------------------------------
+#: Serializes the one-time build of every ``CleanComparison.order``.
+_ORDER_LOCK = threading.Lock()
+
+
 @dataclass(frozen=True)
 class CleanComparison:
     """Fault-invariant half of a checksum comparison, prepared once.
 
     Holds the clean check arrays' full comparison — per-check residuals,
-    violation mask, tolerances — plus a descending residual ordering,
-    so :func:`compare_checksums_sparse` can render a trial's verdict
-    from *only its struck checks*: untouched checks keep their clean
-    residuals, and the trial's ``max_residual`` is found by walking the
-    precomputed order past the handful of struck indices instead of
-    re-reducing the whole check array.  Valid only while the checksum
-    side stays clean (checksum-path faults corrupt it; those trials
-    take the dense comparison).
+    violation mask, tolerances — plus a descending residual ordering
+    (built on first use), so :func:`compare_checksums_sparse` can
+    render a trial's verdict from *only its struck checks*: untouched
+    checks keep their clean residuals, and the trial's ``max_residual``
+    is found by walking the order past the handful of struck indices
+    instead of re-reducing the whole check array.  Valid only while the
+    checksum side stays clean (checksum-path faults corrupt it; those
+    trials take the dense comparison).
 
     Attributes
     ----------
@@ -238,7 +243,10 @@ class CleanComparison:
         max-reduction key (``max`` must report inf whenever any
         residual is non-finite).
     order:
-        Check indices sorted by descending ``key`` (ties stable).
+        Check indices sorted by descending ``key`` (ties stable).  Only
+        the walk over struck trials reads it, so it is argsorted lazily,
+        exactly once even under racing readers; fault-free passes never
+        pay for it.
     tol_flat:
         Per-check tolerances (fault-invariant magnitudes only).
     bad:
@@ -253,7 +261,6 @@ class CleanComparison:
     checksum_side: np.ndarray
     residual: np.ndarray
     key: np.ndarray
-    order: np.ndarray
     tol_flat: np.ndarray
     bad: np.ndarray
     violations: tuple[int, ...]
@@ -262,6 +269,19 @@ class CleanComparison:
     tolerance: float
     checks: int
     dtype: np.dtype
+    _order: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def order(self) -> np.ndarray:
+        if self._order is None:
+            with _ORDER_LOCK:
+                if self._order is None:
+                    object.__setattr__(
+                        self, "_order", np.argsort(-self.key, kind="stable")
+                    )
+        return self._order
 
     def clean_verdict(self) -> CheckVerdict:
         """The verdict of a trial whose checks are all untouched."""
@@ -319,7 +339,6 @@ def prepare_clean_comparison(
     bad = residual > tol_flat
     bad |= ~finite
     key = np.where(finite, residual.astype(np.float64), np.inf)
-    order = np.argsort(-key, kind="stable")
     violations = tuple(int(i) for i in np.flatnonzero(bad))
     checks = int(residual.size)
     if checks:
@@ -331,7 +350,6 @@ def prepare_clean_comparison(
         checksum_side=lhs,
         residual=residual,
         key=key,
-        order=order,
         tol_flat=tol_flat,
         bad=bad,
         violations=violations,
@@ -386,6 +404,7 @@ def compare_checksums_sparse(
 
     if not len(trials):
         return verdicts
+    order = clean.order
     spans = np.flatnonzero(np.diff(trials)) + 1
     starts = np.concatenate(([0], spans))
     ends = np.concatenate((spans, [len(trials)]))
@@ -408,7 +427,7 @@ def compare_checksums_sparse(
         # past the struck indices (expected O(1) steps — a struck check
         # is rarely the clean argmax).
         best = -np.inf
-        for idx in clean.order:
+        for idx in order:
             if int(idx) not in struck_set:
                 best = clean.key[idx]
                 break

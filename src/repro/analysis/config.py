@@ -27,7 +27,9 @@ from ..errors import ConfigurationError
 SECTION = ("tool", "repro", "analysis")
 
 #: Default prepared-state accessor attributes RL004 treats as read-only.
-DEFAULT_RL004_ATTRS = ("c_clean", "a_pad", "b_pad", "clean_reductions")
+DEFAULT_RL004_ATTRS = (
+    "c_clean", "a_pad", "b_pad", "b_wide", "clean_reductions"
+)
 
 #: Default module-path fragments RL005 (determinism of record/verdict
 #: assembly) applies to: fault drawing, campaign records, and verdict

@@ -22,7 +22,10 @@ Two realizations of the deployed model are supported:
   paper's view of a NN as its sequence of linear-layer GEMMs.  Forward
   passes execute every layer's protected GEMM in order; campaigns
   attack the same synthesized operands.  This is what makes a plan
-  deserialized from JSON runnable with nothing else on hand.
+  deserialized from JSON runnable with nothing else on hand.  The
+  operands are read-only and the session holds each layer's prepared
+  state by identity after the first pass, so a warm pass does no
+  operand keying and no clean GEMM.
 
 :func:`deploy` is the three-line entry point: model name + device →
 policy → session.
@@ -35,7 +38,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..abft.base import PreparedCache
+from ..abft.base import PreparedCache, PreparedExecution
 from ..config import DetectionConstants
 from ..errors import ConfigurationError
 from ..faults.campaign import FaultCampaign
@@ -80,7 +83,10 @@ class ProtectedSession:
         (each a fresh activation digest, hence a fresh entry holding
         padded operands and a clean FP32 accumulator) recycles memory
         instead of growing without bound.  Pass an unbounded
-        ``PreparedCache()`` explicitly to pin everything.
+        ``PreparedCache()`` explicitly to pin everything.  The
+        layer-GEMM realization fetches each layer's state from this
+        cache on the first pass and then holds it by identity:
+        ``cache.clear()`` or eviction does not drop it.
     detection:
         Detection constants for forward passes and campaign defaults;
         ``None`` (default) resolves per layer to the deployed scheme's
@@ -126,9 +132,12 @@ class ProtectedSession:
                 detection=detection,
             )
         self._synthesized: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        # Guards the synthesized-operand memo: concurrent campaigns and
-        # layer-GEMM passes may race to realize one layer, and each
-        # must observe the same (deterministically seeded) arrays.
+        # Layer-GEMM states held by identity once the first pass has
+        # fetched them: later passes never re-key their operands.
+        self._held: dict[str, PreparedExecution] = {}
+        # Guards both memos: concurrent campaigns and layer-GEMM passes
+        # may race to realize one layer, and each must observe the same
+        # (deterministically seeded) arrays and prepared state.
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -172,8 +181,33 @@ class ProtectedSession:
             rng = np.random.default_rng([self.seed, index])
             a = (rng.standard_normal((entry.m, entry.k)) * 0.5).astype(np.float16)
             b = (rng.standard_normal((entry.k, entry.n)) * 0.5).astype(np.float16)
+            # Held prepared states stand in for these bytes, so no
+            # caller may change them.
+            a.flags.writeable = False
+            b.flags.writeable = False
             self._synthesized[layer] = (a, b)
             return a, b
+
+    def _layer_state(self, layer: str) -> PreparedExecution:
+        """The layer-GEMM realization's prepared state for one layer.
+
+        The first request fetches it through the session cache, so
+        campaigns (and a shared fleet-family cache) keep sharing the
+        one entry and its clean GEMM; the session then holds it by
+        identity, and later requests skip keying the operands.  The
+        synthesized operands are read-only, so the held state cannot go
+        stale.
+        """
+        with self._lock:
+            held = self._held.get(layer)
+        if held is not None:
+            return held
+        a, b = self._synthesized_operands(layer)
+        prepared = self.cache.get(self.schemes[layer], a, b)
+        with self._lock:
+            # Racing first passes both fetched from the cache (one clean
+            # GEMM, one entry); the first to publish wins either way.
+            return self._held.setdefault(layer, prepared)
 
     def layer_operands(
         self, layer: str
@@ -183,7 +217,8 @@ class ProtectedSession:
         Numeric sessions return the operands (and pinned tile) of the
         named layer's most recent forward pass; run one first.  The
         layer-GEMM realization returns the synthesized operands (tile
-        ``None`` — the campaign resolves the default).
+        ``None`` — the campaign resolves the default), read-only: the
+        session's held prepared state stands in for their bytes.
         """
         entry = self.plan.layer(layer)  # validates the name
         if self.engine is not None:
@@ -211,7 +246,8 @@ class ProtectedSession:
         Numeric sessions require the input activations ``x`` and run
         real inference; the layer-GEMM realization takes no input and
         executes every planned layer's protected GEMM in order (the
-        result's ``output`` is the final layer's logical output).
+        result's ``output`` is the final layer's logical output; the
+        other layers' ``outcome.c`` render lazily on first access).
         ``faults`` maps linear-layer names to fault specs injected
         into that layer's GEMM, on either realization.  ``recovery``
         overrides the session's default policy for this pass (pass a
@@ -240,9 +276,7 @@ class ProtectedSession:
             )
         result = InferenceResult(output=np.empty(0, dtype=np.float16))
         for entry in self.plan:
-            a, b = self._synthesized_operands(entry.name)
-            scheme = self.schemes[entry.name]
-            prepared = self.cache.get(scheme, a, b)
+            prepared = self._layer_state(entry.name)
             layer_faults = tuple(faults.get(entry.name, ()))
             attempt = attempt_recovery(
                 lambda specs: prepared.inject(specs, detection=self.detection),
@@ -261,7 +295,10 @@ class ProtectedSession:
                     degraded=attempt.degraded,
                 )
             )
-            result.output = attempt.outcome.c
+        if result.layer_outcomes:
+            # Only the final layer's output is read; every other
+            # layer's ``outcome.c`` stays lazy.
+            result.output = result.layer_outcomes[-1].outcome.c
         return result
 
     # ------------------------------------------------------------------

@@ -427,11 +427,11 @@ def run_campaign_sharded(
 
     prepared = campaign._prepared
     if campaign._use_sparse:
-        # Force the lazy clean check arrays into the prepared state now
-        # so they ride the shared segment instead of being rebuilt once
-        # per worker.
+        # Force the lazy clean check arrays (and the comparison's
+        # residual order) into the prepared state now so they ride the
+        # shared segment instead of being rebuilt once per worker.
         prepared.clean_reductions
-        prepared.clean_comparison(campaign.detection)
+        prepared.clean_comparison(campaign.detection).order
     cfg = _ShardConfig(
         detection=campaign.detection,
         significance_factor=campaign.significance_factor,
@@ -482,7 +482,7 @@ def run_propagation_sharded(
     trials = list(trials)
     if campaign._prepared.scheme.supports_sparse:
         campaign._prepared.clean_reductions
-        campaign._prepared.clean_comparison(campaign._detection)
+        campaign._prepared.clean_comparison(campaign._detection).order
     payload, shm = export_payload(campaign._shard_state())
     bounds = shard_bounds(len(trials), workers)
     pool = ProcessPoolExecutor(max_workers=len(bounds), mp_context=_mp_context())

@@ -13,6 +13,7 @@ vectorize, avoid copies, accumulate in place).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,9 @@ class TiledGemm:
     #: subclass.  Schemes key caches and pick detection constants by it.
     dtype = "fp16"
 
+    #: Accumulator dtype: FP32 here, exact INT32 on the quantized subclass.
+    acc_dtype = np.float32
+
     def __init__(
         self,
         problem: GemmProblem,
@@ -125,21 +129,33 @@ class TiledGemm:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def multiply(self, a_pad: np.ndarray, b_pad: np.ndarray) -> np.ndarray:
-        """FP32-accumulated product of padded FP16 operands.
+    def widen(self, pad: np.ndarray) -> np.ndarray:
+        """A padded operand cast to the accumulation dtype (FP32 here)."""
+        return pad.astype(self.acc_dtype)
+
+    def multiply(
+        self,
+        a_pad: np.ndarray,
+        b_pad: np.ndarray,
+        *,
+        b_wide: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Accumulation-dtype product of padded operands.
 
         Accumulates chunk-by-chunk along K (chunk = ``k_chunk``) into a
-        single FP32 accumulator, mirroring the sequential MMA
-        accumulation of the hardware mainloop.
+        single accumulator, mirroring the sequential MMA accumulation of
+        the hardware mainloop.  ``b_wide``, when given, must be
+        :meth:`widen` of ``b_pad``: callers multiplying constant weights
+        many times keep the cast instead of redoing it per product.
         """
         if a_pad.shape != (self.m_full, self.k_full):
             raise ShapeError(f"padded A must be {self.m_full}x{self.k_full}")
         if b_pad.shape != (self.k_full, self.n_full):
             raise ShapeError(f"padded B must be {self.k_full}x{self.n_full}")
         EXECUTION_STATS.gemms += 1
-        a32 = a_pad.astype(np.float32)
-        b32 = b_pad.astype(np.float32)
-        acc = np.zeros((self.m_full, self.n_full), dtype=np.float32)
+        a32 = self.widen(a_pad)
+        b32 = self.widen(b_pad) if b_wide is None else b_wide
+        acc = np.zeros((self.m_full, self.n_full), dtype=self.acc_dtype)
         for k0 in range(0, self.k_full, self.k_chunk):
             k1 = min(k0 + self.k_chunk, self.k_full)
             # In-place accumulate: no temporary C-sized copies per chunk.
@@ -149,6 +165,25 @@ class TiledGemm:
     def run(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Pad, execute, and return the padded FP32 accumulator grid."""
         return self.multiply(self.pad_a(a), self.pad_b(b))
+
+    def quantize_a(self, a: np.ndarray) -> tuple[np.ndarray, float | None]:
+        """Padded ``A`` plus its dequantization scale (``None``: FP16)."""
+        return self.pad_a(a), None
+
+    def quantize_b(self, b: np.ndarray) -> tuple[np.ndarray, float | None]:
+        """Padded ``B`` plus its dequantization scale (``None``: FP16)."""
+        return self.pad_b(b), None
+
+    def with_scales(
+        self, a_scale: float | None = None, b_scale: float | None = None
+    ) -> "TiledGemm":
+        """The executor whose epilogue dequantizes at these scales.
+
+        FP16 operands carry no scale, so this is ``self``; the INT8
+        executor returns a copy, never rescaling one another caller
+        holds.
+        """
+        return self
 
     def epilogue(self, values: np.ndarray) -> np.ndarray:
         """Lower accumulator values to the logical FP16 output domain.
@@ -204,10 +239,16 @@ class Int8TiledGemm(TiledGemm):
 
     Quantization is symmetric per-tensor (scale = max|x| / 127, no zero
     point — a zero point would break the linearity the checksum
-    invariants rely on).  ``pad_a`` / ``pad_b`` quantize and record the
-    operand scale; ``multiply`` accumulates the quantized product
-    exactly in INT32; ``epilogue`` dequantizes by ``a_scale * b_scale``
+    invariants rely on).  ``quantize_a`` / ``quantize_b`` return each
+    padded INT8 operand together with its scale; the inherited
+    ``multiply`` accumulates the quantized product exactly in INT32
+    (``acc_dtype``); ``epilogue`` dequantizes by ``a_scale * b_scale``
     back to the FP16 output domain.
+
+    Quantizing an operand never writes to the executor; only
+    :meth:`with_scales` sets scales, on a copy.  So an executor shared
+    through prepared state keeps dequantizing at the scales it was
+    prepared with, whatever else that executor quantizes.
 
     Exactness: every INT32 partial product is ``<= k * 127 * 127``,
     far inside the INT32 range for the shapes this repo models, so the
@@ -221,14 +262,18 @@ class Int8TiledGemm(TiledGemm):
     >>> problem = GemmProblem(m=8, n=8, k=8)
     >>> gemm = Int8TiledGemm(problem, select_tile(problem))
     >>> a = np.full((8, 8), 0.5, dtype=np.float16)
-    >>> acc = gemm.run(a, a)
+    >>> a_pad, a_scale = gemm.quantize_a(a)
+    >>> b_pad, b_scale = gemm.quantize_b(a)
+    >>> acc = gemm.multiply(a_pad, b_pad)
     >>> acc.dtype
     dtype('int32')
-    >>> float(gemm.epilogue(gemm.crop(acc))[0, 0])
+    >>> lowered = gemm.with_scales(a_scale, b_scale).epilogue(gemm.crop(acc))
+    >>> float(lowered[0, 0])
     2.0
     """
 
     dtype = "int8"
+    acc_dtype = np.int32
 
     def __init__(
         self,
@@ -247,46 +292,52 @@ class Int8TiledGemm(TiledGemm):
         peak = float(np.max(np.abs(np.asarray(x, dtype=np.float32))))
         return peak / 127.0 if peak > 0.0 else 1.0
 
-    def _quantize(self, x: np.ndarray, scale: float) -> np.ndarray:
+    def _quantize(
+        self, x: np.ndarray, rows: int, cols: int
+    ) -> tuple[np.ndarray, float]:
+        """Zero-padded ``(rows, cols)`` INT8 copy of ``x`` and its scale."""
+        scale = self.scale_for(x)
         scaled = np.asarray(x, dtype=np.float32) / np.float32(scale)
-        return np.clip(np.rint(scaled), -127, 127).astype(np.int8)
+        out = np.zeros((rows, cols), dtype=np.int8)
+        out[: x.shape[0], : x.shape[1]] = np.clip(
+            np.rint(scaled), -127, 127
+        ).astype(np.int8)
+        return out, scale
 
-    def pad_a(self, a: np.ndarray) -> np.ndarray:
-        """Zero-pad ``A`` to ``(m_full, k_full)`` and quantize to INT8."""
+    def quantize_a(self, a: np.ndarray) -> tuple[np.ndarray, float]:
+        """Zero-pad ``A`` to ``(m_full, k_full)`` in INT8, plus its scale."""
         if a.shape != (self.problem.m, self.problem.k):
             raise ShapeError(
                 f"A must be {self.problem.m}x{self.problem.k}, got {a.shape}"
             )
-        self.a_scale = self.scale_for(a)
-        out = np.zeros((self.m_full, self.k_full), dtype=np.int8)
-        out[: a.shape[0], : a.shape[1]] = self._quantize(a, self.a_scale)
-        return out
+        return self._quantize(a, self.m_full, self.k_full)
 
-    def pad_b(self, b: np.ndarray) -> np.ndarray:
-        """Zero-pad ``B`` to ``(k_full, n_full)`` and quantize to INT8."""
+    def quantize_b(self, b: np.ndarray) -> tuple[np.ndarray, float]:
+        """Zero-pad ``B`` to ``(k_full, n_full)`` in INT8, plus its scale."""
         if b.shape != (self.problem.k, self.problem.n):
             raise ShapeError(
                 f"B must be {self.problem.k}x{self.problem.n}, got {b.shape}"
             )
-        self.b_scale = self.scale_for(b)
-        out = np.zeros((self.k_full, self.n_full), dtype=np.int8)
-        out[: b.shape[0], : b.shape[1]] = self._quantize(b, self.b_scale)
-        return out
+        return self._quantize(b, self.k_full, self.n_full)
 
-    def multiply(self, a_pad: np.ndarray, b_pad: np.ndarray) -> np.ndarray:
-        """Exact INT32-accumulated product of padded INT8 operands."""
-        if a_pad.shape != (self.m_full, self.k_full):
-            raise ShapeError(f"padded A must be {self.m_full}x{self.k_full}")
-        if b_pad.shape != (self.k_full, self.n_full):
-            raise ShapeError(f"padded B must be {self.k_full}x{self.n_full}")
-        EXECUTION_STATS.gemms += 1
-        a32 = a_pad.astype(np.int32)
-        b32 = b_pad.astype(np.int32)
-        acc = np.zeros((self.m_full, self.n_full), dtype=np.int32)
-        for k0 in range(0, self.k_full, self.k_chunk):
-            k1 = min(k0 + self.k_chunk, self.k_full)
-            acc += a32[:, k0:k1] @ b32[k0:k1, :]
-        return acc
+    def pad_a(self, a: np.ndarray) -> np.ndarray:
+        """Zero-pad ``A`` to ``(m_full, k_full)`` and quantize to INT8."""
+        return self.quantize_a(a)[0]
+
+    def pad_b(self, b: np.ndarray) -> np.ndarray:
+        """Zero-pad ``B`` to ``(k_full, n_full)`` and quantize to INT8."""
+        return self.quantize_b(b)[0]
+
+    def with_scales(
+        self, a_scale: float | None = None, b_scale: float | None = None
+    ) -> "Int8TiledGemm":
+        """A copy dequantizing at the given scales (``None`` keeps one)."""
+        rescaled = copy.copy(self)
+        if a_scale is not None:
+            rescaled.a_scale = a_scale
+        if b_scale is not None:
+            rescaled.b_scale = b_scale
+        return rescaled
 
     def epilogue(self, values: np.ndarray) -> np.ndarray:
         """Dequantize INT32 accumulator values to the FP16 output domain."""

@@ -1,9 +1,11 @@
 """Tests for the tolerance-aware checksum comparison."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.abft.detection import compare_checksums
+from repro.abft.detection import compare_checksums, prepare_clean_comparison
 from repro.config import DetectionConstants
 from repro.errors import DetectionError
 
@@ -81,3 +83,37 @@ class TestToleranceScaling:
         # Same residual: flagged where magnitude (and thus tolerance) is
         # small, passed where the accumulated magnitude explains it.
         assert v.violations == (0,)
+
+
+class TestCleanComparisonOrder:
+    def _clean(self):
+        rng = np.random.default_rng(0)
+        lhs = rng.standard_normal(64)
+        rhs = lhs + rng.standard_normal(64) * 1e-3
+        rhs[5] = np.nan
+        return prepare_clean_comparison(
+            lhs, rhs, n_terms=64, magnitudes=np.abs(lhs) + 1.0
+        )
+
+    def test_order_is_built_on_first_read(self):
+        clean = self._clean()
+        assert clean._order is None
+        expected = np.argsort(-clean.key, kind="stable")
+        np.testing.assert_array_equal(clean.order, expected)
+        assert clean.order[0] == 5  # non-finite residual sorts first
+
+    def test_racing_readers_share_one_order(self):
+        clean = self._clean()
+        seen = []
+        barrier = threading.Barrier(8)
+
+        def read():
+            barrier.wait()
+            seen.append(clean.order)
+
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert all(order is seen[0] for order in seen)

@@ -381,6 +381,52 @@ class TestPreparedCache:
         assert cache.get(scheme, a, b) is through_weights
         assert len(cache) == 1 and cache.hits == 1
 
+    def test_weights_carry_the_b_digest(self, small_operands, monkeypatch):
+        """Keying through weights= hashes only ``a`` yet yields the plain
+        key, so a miss prepared through the weight state and a later
+        plain campaign over the same operands share one entry."""
+        a, b = small_operands
+        cache = PreparedCache()
+        scheme = get_scheme("global")
+        weights = scheme.prepare_weights(b, m=a.shape[0])
+        plain_key = cache.key_for(scheme, a, b)
+
+        hashed = []
+        digest = PreparedCache._digest
+
+        def counting(arr):
+            hashed.append(arr)
+            return digest(arr)
+
+        monkeypatch.setattr(PreparedCache, "_digest", staticmethod(counting))
+        assert cache.key_for(scheme, a, b, weights=weights) == plain_key
+        assert len(hashed) == 1 and hashed[0] is a
+        monkeypatch.undo()
+
+        through_weights = cache.get(scheme, a, b, weights=weights)
+        campaign = FaultCampaign(
+            scheme, a, b, options=CampaignOptions(cache=cache)
+        )
+        assert campaign.prepared is through_weights
+        assert len(cache) == 1
+
+    @pytest.mark.parametrize("token", ["global", "global@int8"])
+    def test_weights_carry_the_widened_b(self, small_operands, token):
+        """The weight state casts ``b_pad`` to the accumulation dtype once;
+        prepared states built through it share the cast and the clean
+        GEMM stays bit-identical to plain preparation."""
+        from repro.abft import scheme_from_token
+
+        a, b = small_operands
+        scheme = scheme_from_token(token)
+        weights = scheme.prepare_weights(b, m=a.shape[0])
+        assert np.array_equal(weights.b_wide, weights.b_pad.astype(weights.b_wide.dtype))
+        through_weights = scheme.prepare(a, b, weights=weights)
+        assert through_weights.b_wide is weights.b_wide
+        plain = scheme.prepare(a, b)
+        assert plain.b_wide is None
+        assert through_weights.c_clean.tobytes() == plain.c_clean.tobytes()
+
     def test_mutated_operands_miss(self, small_operands):
         """Content digests, not identities: mutating an operand after a
         cached hit must produce a fresh entry, never stale state."""

@@ -84,7 +84,6 @@ class TestStepSummary:
 class TestRepoGate:
     def test_the_ci_invocation_passes_on_the_merged_tree(self, repo_root, capsys):
         # Exactly what .github/workflows/ci.yml runs (blocking).
-        assert main(
-            ["lint", str(repo_root / "src"), str(repo_root / "benchmarks")]
-        ) == 0
+        paths = ("src", "benchmarks", "examples", "perfbench")
+        assert main(["lint", *(str(repo_root / p) for p in paths)]) == 0
         assert "clean" in capsys.readouterr().out

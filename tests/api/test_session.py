@@ -113,6 +113,56 @@ class TestLayerGemmSession:
             session.campaign("fc9")
 
 
+class TestWarmLayerGemmPass:
+    """A warm layer-GEMM pass does only work whose result can change."""
+
+    def test_warm_pass_neither_keys_nor_multiplies(self, monkeypatch):
+        session = deploy("mlp_bottom", "T4", batch=16)
+        session.run()
+        keyed = []
+        key_for = repro.PreparedCache.key_for
+
+        def counting(cache, *args, **kwargs):
+            keyed.append(args)
+            return key_for(cache, *args, **kwargs)
+
+        monkeypatch.setattr(repro.PreparedCache, "key_for", counting)
+        EXECUTION_STATS.reset()
+        warm = session.run()
+        assert keyed == []
+        assert EXECUTION_STATS.gemms == 0
+        fresh = deploy("mlp_bottom", "T4", batch=16).run()
+        assert warm.output.tobytes() == fresh.output.tobytes()
+
+    def test_held_states_outlive_cache_clear(self):
+        session = deploy("mlp_bottom", "T4", batch=16)
+        first = session.run()
+        session.cache.clear()
+        EXECUTION_STATS.reset()
+        again = session.run()
+        assert EXECUTION_STATS.gemms == 0
+        assert again.output.tobytes() == first.output.tobytes()
+
+    def test_layer_operands_are_read_only(self):
+        session = deploy("mlp_bottom", "T4", batch=16)
+        a, b, _ = session.layer_operands("fc0")
+        assert not a.flags.writeable and not b.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            b[...] = 0.0
+
+    def test_intermediate_outputs_equal_each_layers_gemm(self):
+        session = deploy("mlp_bottom", "T4", batch=16)
+        session.run()
+        result = session.run()
+        for step in result.layer_outcomes:
+            a, b, _ = session.layer_operands(step.name)
+            executed = session.scheme_for(step.name).execute(a, b).c
+            assert step.outcome.c.tobytes() == executed.tobytes()
+        assert result.output is result.layer_outcomes[-1].outcome.c
+
+
 class TestNumericSession:
     def test_one_cache_entry_per_layer_per_batch_size(self):
         session = deploy(

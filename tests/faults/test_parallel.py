@@ -129,6 +129,22 @@ class TestPayload:
             shm.close()
             shm.unlink()
 
+    def test_sharded_run_exports_the_residual_order(self, monkeypatch):
+        # Workers walk the clean residual order on every struck trial,
+        # so it must ride the shared segment, not be argsorted per worker.
+        campaign = _campaign()
+        exported = []
+        export = parallel.export_payload
+
+        def spy(obj):
+            clean = obj.clean_comparison(campaign.detection)
+            exported.append(clean._order is not None)
+            return export(obj)
+
+        monkeypatch.setattr(parallel, "export_payload", spy)
+        campaign.run_batch(12, workers=2)
+        assert exported == [True]
+
 
 # ----------------------------------------------------------------------
 # Spec arrays: the draw/assembly split the sharded path rides

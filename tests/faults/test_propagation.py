@@ -140,6 +140,24 @@ class TestRecovery:
         assert result.total_retries >= result.n_detected
         assert result.n_residual_sdc == result.n_undetected_sdc
 
+    def test_recovered_trials_share_one_verification_replay(self, session, x):
+        campaign = session.propagation_campaign(
+            LAYER, x=x, recovery=RecoveryPolicy()
+        )
+        replays = []
+        replay = campaign._replay
+
+        def counting(c16):
+            replays.append(c16)
+            return replay(c16)
+
+        campaign._replay = counting
+        result = campaign.run(3, specs=[BIG, BIG, BIG])
+        assert result.n_recovered == 3
+        # One replay classifies each corrupted trial; the recovered
+        # boundary (bit-identical to clean) is replayed once in total.
+        assert len(replays) == 3 + 1
+
     def test_sticky_flag_and_propagate_degrades(self, session, x):
         policy = RecoveryPolicy(max_retries=2, fault_model="sticky")
         result = session.propagation_campaign(
@@ -204,3 +222,27 @@ class TestSessionSurface:
             campaign.run(3, specs=[BIG])
         with pytest.raises(FaultInjectionError, match="faults_per_trial"):
             campaign.run(1, specs=[BIG], faults_per_trial=2)
+
+
+class TestReplayLeavesSharedStateAlone:
+    def test_int8_replay_does_not_rescale_cached_layers(self):
+        # Replay quantizes corrupted activations on the executors of
+        # cached downstream states; a clean pass over the same session
+        # must still dequantize every layer at its own clean scale.
+        name = "transformer_decoder"
+        session = deploy(
+            build_model(name),
+            "T4",
+            policy="guided@int8",
+            runnable=build_runnable(name, seed=0),
+        )
+        x = np.random.default_rng(0).standard_normal(
+            runnable_input_shape(name)
+        ).astype(np.float16)
+        before = session.run(x)
+        expected = [step.outcome.c.tobytes() for step in before.layer_outcomes]
+        with np.errstate(all="ignore"):
+            session.propagation_campaign("attn.out", x=x, seed=0).run_batch(400)
+        after = session.run(x)
+        assert after.output.tobytes() == before.output.tobytes()
+        assert [s.outcome.c.tobytes() for s in after.layer_outcomes] == expected

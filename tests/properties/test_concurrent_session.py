@@ -81,6 +81,29 @@ class TestLayerGemmSessionStress:
         for output in outputs:
             np.testing.assert_array_equal(output, serial)
 
+    def test_racing_first_passes_hold_one_state_per_layer(self):
+        session = repro.deploy("mlp_bottom", "T4", batch=16)
+        held = []
+        layer_state = session._layer_state
+
+        def recording(layer):
+            state = layer_state(layer)
+            held.append((layer, state))
+            return state
+
+        session._layer_state = recording
+        before = EXECUTION_STATS.gemms
+        outputs = _race(2, lambda i: session.run().output)
+        assert EXECUTION_STATS.gemms - before == len(session.plan)
+        np.testing.assert_array_equal(outputs[0], outputs[1])
+        assert len(held) == 2 * len(session.plan)
+        for layer in session.plan.layer_names:
+            states = [state for name, state in held if name == layer]
+            a, b, _ = session.layer_operands(layer)
+            shared = session.cache.get(session.scheme_for(layer), a, b)
+            # Both threads ran the one state the shared cache prepared.
+            assert all(state is shared for state in states)
+
     def test_mixed_forward_and_campaign_traffic_matches_serial(self):
         threaded = repro.deploy("mlp_bottom", "T4", batch=16)
         layers = threaded.plan.layer_names

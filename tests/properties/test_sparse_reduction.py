@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.abft import MultiChecksumGlobalABFT, get_scheme, list_schemes
+from repro.abft import (
+    MultiChecksumGlobalABFT,
+    get_scheme,
+    list_schemes,
+    scheme_from_token,
+)
 from repro.errors import ConfigurationError
 from repro.faults import FaultKind, FaultPath, FaultSpec
 from repro.faults.injector import faulted_site_values
@@ -134,6 +139,40 @@ class TestSparseMatchesDense:
         # Auto mode silently stays dense for these schemes.
         outcome = prepared.inject_batch([trial])[0]
         assert np.isfinite(outcome.c_accumulator).all()
+
+
+def _scheme(name, dtype):
+    if dtype == "fp16":
+        return make_scheme(name)
+    token = "global_multi:2" if name == "global_multi" else name
+    return scheme_from_token(f"{token}@{dtype}")
+
+
+class TestFaultFreeFastPath:
+    @given(
+        name=st.sampled_from(SPARSE_SCHEMES),
+        dtype=st.sampled_from(["fp16", "int8"]),
+        seed=seeds,
+        n_trials=st.integers(1, 6),
+        poison=st.sampled_from([None, np.nan, np.inf, -np.inf, 6.0e4]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_all_empty_batch_matches_dense(
+        self, name, dtype, seed, n_trials, poison
+    ):
+        """Fault-free trials take the clean verdict outright on the
+        sparse path — field for field what the dense oracle renders,
+        for any operands, non-finite or near-overflow included."""
+        a, b = _operands(seed)
+        if poison is not None:
+            a[seed % a.shape[0], seed % a.shape[1]] = poison
+        with np.errstate(all="ignore"):
+            prepared = _scheme(name, dtype).prepare(a, b, tile=TILE)
+            trials = [()] * n_trials
+            dense = prepared.inject_batch(trials, sparse=False)
+            fast = prepared.inject_batch(trials)
+            for d, f in zip(dense, fast):
+                assert_outcomes_identical(d, f)
 
 
 class TestFaultedSiteValues:
