@@ -220,18 +220,29 @@ class ProtectedSession:
         ``None`` — the campaign resolves the default), read-only: the
         session's held prepared state stands in for their bytes.
         """
-        entry = self.plan.layer(layer)  # validates the name
+        self.plan.layer(layer)  # validates the name
         if self.engine is not None:
-            recorded = self.engine.recorded_operands.get(layer)
-            if recorded is None:
-                raise ConfigurationError(
-                    f"no recorded operands for layer {entry.name!r}: run a "
-                    f"forward pass first so the campaign attacks the GEMM "
-                    f"the deployment actually executes"
-                )
-            return recorded
+            return self._recorded(layer)[:3]
         a, b = self._synthesized_operands(layer)
         return a, b, None
+
+    def _recorded(
+        self, layer: str
+    ) -> tuple[np.ndarray, np.ndarray, TileConfig, PreparedExecution]:
+        """A numeric session's recorded ``(a, b, tile, prepared)``.
+
+        Operands and the state they executed on come from one
+        committed forward pass; raises until a pass has recorded the
+        layer.
+        """
+        recorded = self.engine.recorded_layer(layer)
+        if recorded is None:
+            raise ConfigurationError(
+                f"no recorded operands for layer {layer!r}: run a "
+                f"forward pass first so the campaign attacks the GEMM "
+                f"the deployment actually executes"
+            )
+        return recorded
 
     # ------------------------------------------------------------------
     def run(
@@ -314,10 +325,14 @@ class ProtectedSession:
     ) -> FaultCampaign:
         """A prepared :class:`~repro.faults.FaultCampaign` on one layer.
 
-        The campaign draws its prepared state from the session cache,
-        so it shares the layer's clean GEMM with every forward pass
-        (and every other campaign on that layer) the session runs —
-        whole-model fault studies pay the expensive half once, total.
+        The campaign is built on the prepared state the session
+        already holds for the layer — the state the last recorded
+        forward pass executed on (numeric), or the held layer state
+        (layer-GEMM) — so it shares the layer's clean GEMM with every
+        forward pass (and every other campaign on that layer) the
+        session runs, and building it neither re-keys the operands nor
+        runs a GEMM.  Whole-model fault studies pay the expensive half
+        once, total.
         ``layer`` may be omitted for single-layer plans; campaign
         parameters — individually, or bundled in ``options=``
         (:class:`~repro.faults.CampaignOptions`) — are forwarded to
@@ -326,7 +341,8 @@ class ProtectedSession:
         returned campaign shard across ``N`` worker processes by
         default).  ``detection`` / ``workers`` are options-only fields
         (their keyword aliases were removed after one deprecated
-        release); the campaign always uses the session's shared cache.
+        release); ``options.cache``, if given, must be the session's
+        own cache.
 
         Example
         -------
@@ -362,13 +378,19 @@ class ProtectedSession:
                     f"{self.plan.layer_names}"
                 )
             layer = self.plan.layer_names[0]
-        a, b, tile = self.layer_operands(layer)
+        scheme = self.scheme_for(layer)  # validates the name
+        if self.engine is not None:
+            a, b, tile, prepared = self._recorded(layer)
+        else:
+            a, b = self._synthesized_operands(layer)
+            tile, prepared = None, self._layer_state(layer)
         # None means "FaultCampaign's own default" — never restate a
         # default here, or the hand-wired parity contract drifts.
-        return FaultCampaign(
-            self.scheme_for(layer),
+        return FaultCampaign._on_prepared(
+            scheme,
             a,
             b,
+            prepared,
             tile=tile,
             options=CampaignOptions(
                 detection=(

@@ -320,6 +320,59 @@ class FaultCampaign:
         sparse: bool | None = None,
         options: CampaignOptions | None = None,
     ) -> None:
+        self._configure(
+            scheme, a, b, tile, options,
+            significance_factor=significance_factor,
+            seed=seed,
+            batch_size=batch_size,
+            sparse=sparse,
+        )
+
+    @classmethod
+    def _on_prepared(
+        cls,
+        scheme: "Scheme",
+        a: np.ndarray,
+        b: np.ndarray,
+        prepared: "PreparedExecution",
+        *,
+        tile: TileConfig | None = None,
+        options: CampaignOptions | None = None,
+    ) -> "FaultCampaign":
+        """A campaign on a prepared state the caller already holds.
+
+        For callers that ran ``(scheme, a, b, tile)`` moments ago and
+        kept the state — a session's recorded or held layer state, a
+        traced pass's steps — so the campaign never looks it up again
+        by content.  Everything else is the public constructor's:
+        option resolution, validation, batch sizing, and the
+        clean-baseline check.  ``options.cache`` is not consulted.
+        """
+        self = cls.__new__(cls)
+        self._configure(scheme, a, b, tile, options, prepared=prepared)
+        return self
+
+    def _configure(
+        self,
+        scheme: "Scheme",
+        a: np.ndarray,
+        b: np.ndarray,
+        tile: TileConfig | None,
+        options: CampaignOptions | None,
+        *,
+        significance_factor: float | None = None,
+        seed: int | None = None,
+        batch_size: int | None = None,
+        sparse: bool | None = None,
+        prepared: "PreparedExecution | None" = None,
+    ) -> None:
+        """Resolve options, validate, and set up on a prepared state.
+
+        ``prepared=None`` resolves the state from ``(scheme, a, b,
+        tile)`` — through ``options.cache`` when given, privately
+        otherwise; a given state must be the one ``(scheme, a, b,
+        tile)`` resolves to.
+        """
         # detection / cache / workers travel only on the options object.
         detection = options.detection if options is not None else None
         cache = options.cache if options is not None else None
@@ -373,13 +426,15 @@ class FaultCampaign:
         # each fill a private buffer.
         self._tls = threading.local()
 
-        # All fault-invariant work happens exactly once — here, or once
-        # per sweep inside a shared cache; trials only inject into
-        # copies of the prepared accumulator.
-        if cache is not None:
-            self._prepared = cache.get(scheme, self.a, self.b, tile=tile)
-        else:
-            self._prepared = scheme.prepare(self.a, self.b, tile=tile)
+        # All fault-invariant work happens exactly once — here, once
+        # per sweep inside a shared cache, or already in the caller's
+        # hands; trials only inject into copies of the prepared
+        # accumulator.
+        if prepared is None and cache is not None:
+            prepared = cache.get(scheme, self.a, self.b, tile=tile)
+        elif prepared is None:
+            prepared = scheme.prepare(self.a, self.b, tile=tile)
+        self._prepared = prepared
         self._use_sparse = scheme.supports_sparse if sparse is None else sparse
         self.batch_size = (
             batch_size if batch_size is not None else self._auto_batch_size()

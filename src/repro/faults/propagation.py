@@ -24,9 +24,9 @@ Downstream replay is cheap by construction: a corrupted *input*
 activation yields a self-consistent downstream GEMM (checksums computed
 from the corrupted operand agree with the corrupted output — ABFT
 cannot, and should not, fire there), so downstream layers replay
-through the raw tiled executor reusing each layer's clean prepared
-state from the session's shared :class:`~repro.abft.base.PreparedCache`
-— per trial only the struck activations are re-padded and multiplied;
+through the raw tiled executor reusing the clean prepared state each
+layer's traced pass ran on (:attr:`~repro.nn.inference.TraceStep.prepared`) —
+per trial only the struck activations are re-padded and multiplied;
 no checksum work, no re-preparation.  Trials whose faults are absorbed
 by the FP16 output quantization (or land in the padding region) skip
 the replay entirely: their output *is* the clean output.
@@ -181,11 +181,12 @@ class PropagationCampaign:
     Parameters
     ----------
     engine:
-        A :class:`~repro.nn.ProtectedInference` owning a shared
-        :class:`~repro.abft.base.PreparedCache` (required — the replay
-        draws every layer's clean prepared state from it).
-        :meth:`repro.api.ProtectedSession.propagation_campaign` builds
-        one from a deployed session.
+        The :class:`~repro.nn.ProtectedInference` to trace; the
+        struck layer's campaign and the downstream replay run on the
+        prepared states of that one clean traced pass, through the
+        engine's shared :class:`~repro.abft.base.PreparedCache` when it
+        owns one.  :meth:`repro.api.ProtectedSession.
+        propagation_campaign` uses the session's engine.
     layer:
         The linear layer whose GEMM the faults strike.
     x:
@@ -282,12 +283,6 @@ class PropagationCampaign:
                     "PropagationCampaign inherits its PreparedCache "
                     "from its engine; options.cache is a different cache"
                 )
-        if engine.cache is None:
-            raise ConfigurationError(
-                "PropagationCampaign needs an engine with a shared "
-                "PreparedCache: the downstream replay draws every "
-                "layer's clean prepared state from it"
-            )
         if workers is not None and workers < 1:
             raise FaultInjectionError(
                 f"workers must be >= 1, got {workers}"
@@ -321,19 +316,19 @@ class PropagationCampaign:
         self._step: "TraceStep" = trace.step(layer)
         self._step_dims = self._step.dims
 
-        # The struck layer rides a full GEMM campaign (shared cache →
-        # shared prepared state with the traced pass) for fault drawing,
+        # The struck layer rides a full GEMM campaign, built on the
+        # prepared state the traced pass ran on, for fault drawing,
         # chunk sizing, and the clean-baseline sanity check.
-        self._gemm = FaultCampaign(
+        self._gemm = FaultCampaign._on_prepared(
             engine.scheme_for(layer),
             self._step.a,
             self._step.b,
+            self._step.prepared,
             tile=self._step.tile,
             options=CampaignOptions(
                 detection=engine.detection,
                 seed=seed,
                 batch_size=batch_size,
-                cache=engine.cache,
                 significance_factor=(
                     options.significance_factor if options else None
                 ),
@@ -352,21 +347,15 @@ class PropagationCampaign:
         self._clean_replay_verified = False
 
         # Downstream replay state: the ops after the struck layer, each
-        # linear one paired with its clean prepared state (executor +
-        # padded weights) drawn from the shared cache — per-trial work
-        # is pad_a + multiply + crop, nothing else.
+        # linear one paired with the clean prepared state (executor +
+        # padded weights) its traced step ran on — per-trial work is
+        # pad_a + multiply + crop, nothing else.
         idx = self._step.op_index
         self._struck_op = engine.model.ops[idx]
-        self._downstream: list = []
-        for op in engine.model.ops[idx + 1:]:
-            if op.is_linear:
-                st = trace.step(op.name)
-                prepared = engine.cache.get(
-                    engine.scheme_for(op.name), st.a, st.b, tile=st.tile
-                )
-                self._downstream.append((op, prepared))
-            else:
-                self._downstream.append((op, None))
+        self._downstream = [
+            (op, trace.step(op.name).prepared if op.is_linear else None)
+            for op in engine.model.ops[idx + 1:]
+        ]
 
     # ------------------------------------------------------------------
     def _shard_state(self) -> dict:

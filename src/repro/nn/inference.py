@@ -18,7 +18,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..abft.base import ExecutionOutcome, PreparedCache, PreparedWeights, Scheme
+from ..abft.base import (
+    ExecutionOutcome,
+    PreparedCache,
+    PreparedExecution,
+    PreparedWeights,
+    Scheme,
+)
 from ..abft.none import NoProtection
 from ..config import DetectionConstants
 from ..gemm.tiles import TileConfig
@@ -220,6 +226,10 @@ class TraceStep:
         ``reshape_output``; None for plain Linear layers.
     outcome:
         The clean protected execution outcome.
+    prepared:
+        The prepared state the traced pass executed the layer on —
+        what campaigns over the trace inject into and replay through,
+        without looking it up again.
     """
 
     name: str
@@ -229,6 +239,7 @@ class TraceStep:
     tile: TileConfig
     dims: object | None
     outcome: ExecutionOutcome
+    prepared: PreparedExecution
 
 
 @dataclass(frozen=True)
@@ -329,7 +340,10 @@ class ProtectedInference:
         activations downstream and are skipped — what
         ``ProtectedSession.campaign`` hands to a
         :class:`~repro.faults.FaultCampaign` so the campaign attacks
-        exactly the GEMM the forward pass executed.
+        exactly the GEMM the forward pass executed.  The recorded
+        ``a`` is read-only, and the pass's prepared state is recorded
+        with it (:meth:`recorded_layer`), so campaigns reuse the state
+        instead of looking it up again by content.
 
     Weights are constant across forward passes, so the engine caches a
     :class:`~repro.abft.base.PreparedWeights` per linear layer: the
@@ -375,8 +389,11 @@ class ProtectedInference:
         self.recorded_operands: dict[
             str, tuple[np.ndarray, np.ndarray, TileConfig]
         ] = {}
-        # Guards the engine's two pieces of cross-pass mutable state
-        # (the weight cache and the operand record) so concurrent
+        # The prepared state each recorded layer's GEMM ran on, from
+        # the same pass as its ``recorded_operands`` entry.
+        self._recorded_states: dict[str, PreparedExecution] = {}
+        # Guards the engine's cross-pass mutable state (the weight
+        # cache and the operand record with its states) so concurrent
         # forward passes through one engine stay safe: weight-side
         # state is prepared exactly once per layer, and each pass's
         # record commits as a unit.  Per-pass state (``staged``) is
@@ -410,6 +427,22 @@ class ProtectedInference:
                 self._weight_cache[name] = prepared
         return prepared
 
+    def recorded_layer(
+        self, name: str
+    ) -> tuple[np.ndarray, np.ndarray, TileConfig, PreparedExecution] | None:
+        """The named layer's recorded ``(a, b, tile, prepared)``.
+
+        Operands and prepared state come from one committed pass (read
+        under the lock the commit holds); ``None`` before any
+        clean-equivalent pass has recorded the layer.
+        """
+        with self._lock:
+            operands = self.recorded_operands.get(name)
+            prepared = self._recorded_states.get(name)
+        if operands is None or prepared is None:
+            return None
+        return (*operands, prepared)
+
     def _run_linear(
         self,
         name: str,
@@ -417,32 +450,30 @@ class ProtectedInference:
         b: np.ndarray,
         faults: Sequence[FaultSpec],
         recovery: RecoveryPolicy | None,
-        staged: dict[str, tuple[np.ndarray, np.ndarray, TileConfig]] | None,
-    ) -> LayerOutcome:
-        """One linear layer's protected GEMM, through the shared cache
-        when the engine owns one (bit-identical either way — the
-        prepared state is fault-invariant), plus the recovery retry
-        loop when a policy applies.  Retries re-enter the same cached
-        prepared state, so a recovery costs one re-reduction, not a
-        re-prepared GEMM."""
+    ) -> tuple[LayerOutcome, PreparedExecution]:
+        """One linear layer's protected GEMM and the state it ran on.
+
+        The state is fetched once per pass — through the shared cache
+        when the engine owns one, privately otherwise (bit-identical
+        either way: it is fault-invariant) — and the recovery retry
+        loop re-enters it, so a recovery costs one re-reduction, not a
+        re-keyed lookup or a re-prepared GEMM.
+        """
         scheme = self.scheme_for(name)
         weights = self._weights_for(name, scheme, b, a.shape[0])
-        if staged is not None:
-            staged[name] = (a, b, weights.tile)
+        if self.cache is not None:
+            prepared = self.cache.get(scheme, a, b, weights=weights)
+        else:
+            prepared = scheme.prepare(a, b, weights=weights)
 
         def execute(specs: Sequence[FaultSpec]) -> ExecutionOutcome:
-            if self.cache is not None:
-                prepared = self.cache.get(scheme, a, b, weights=weights)
-                return prepared.inject(specs, detection=self.detection)
-            return scheme.execute(
-                a, b, faults=specs, weights=weights, detection=self.detection
-            )
+            return prepared.inject(specs, detection=self.detection)
 
         attempt = attempt_recovery(
             execute, execute(faults), faults, recovery,
             context=f"layer {name!r}",
         )
-        return LayerOutcome(
+        outcome = LayerOutcome(
             name=name,
             scheme=attempt.outcome.scheme,
             outcome=attempt.outcome,
@@ -450,6 +481,22 @@ class ProtectedInference:
             recovered=attempt.recovered,
             degraded=attempt.degraded,
         )
+        return outcome, prepared
+
+    @staticmethod
+    def _frozen(a: np.ndarray) -> np.ndarray:
+        """``a`` as an engine-owned, read-only array.
+
+        Recorded and traced activations stand in for the prepared
+        state built from them, so nobody may change their bytes.  The
+        lowered ``a`` is normally a fresh copy already; a view (an op
+        that can hand back its input's memory) is copied first so
+        freezing it never touches a caller's array.
+        """
+        if not a.flags.owndata:
+            a = a.copy()
+        a.flags.writeable = False
+        return a
 
     @staticmethod
     def _clean_equivalent(
@@ -505,17 +552,19 @@ class ProtectedInference:
         # bit-identical to clean, so every staged activation is the
         # clean one).  Undetected or degraded faults leave
         # `recorded_operands` describing the last clean-equivalent pass.
-        staged: dict[str, tuple[np.ndarray, np.ndarray, TileConfig]] | None = (
-            {} if self._record_operands else None
-        )
+        staged: dict[
+            str, tuple[np.ndarray, np.ndarray, PreparedExecution]
+        ] | None = {} if self._record_operands else None
         result = InferenceResult(output=np.asarray(x, dtype=np.float16))
         activation = result.output
         for op in self.model.ops:
             if op.is_linear:
                 a, b, dims = op.lower(activation)
-                rec = self._run_linear(
-                    op.name, a, b, faults.get(op.name, ()), recovery, staged
+                rec, prepared = self._run_linear(
+                    op.name, a, b, faults.get(op.name, ()), recovery
                 )
+                if staged is not None:
+                    staged[op.name] = (a, b, prepared)
                 result.layer_outcomes.append(rec)
                 activation = op.reshape_output(rec.outcome.c, dims)
             else:
@@ -523,9 +572,14 @@ class ProtectedInference:
         result.output = activation
         if staged is not None and self._clean_equivalent(result, faults):
             # Commit the whole pass as a unit so a concurrent reader
-            # (or a racing pass) never observes a half-updated record.
+            # (or a racing pass) never observes a half-updated record,
+            # nor one layer's operands with another pass's state.
             with self._lock:
-                self.recorded_operands.update(staged)
+                for name, (a, b, prepared) in staged.items():
+                    self.recorded_operands[name] = (
+                        self._frozen(a), b, prepared.tile
+                    )
+                    self._recorded_states[name] = prepared
         return result
 
     def trace(self, x: np.ndarray) -> "InferenceTrace":
@@ -533,32 +587,32 @@ class ProtectedInference:
 
         Runs the model fault-free (through the shared cache when the
         engine owns one) and records, per linear layer, the lowered
-        operands, the pinned tile, the conv reshape dims, and the
-        clean execution outcome — the downstream state a
-        :class:`~repro.faults.PropagationCampaign` replays corrupted
-        activations through.  Does not touch
-        :attr:`recorded_operands`.
+        operands (``a`` read-only), the pinned tile, the conv reshape
+        dims, the clean execution outcome, and the prepared state —
+        the downstream state a :class:`~repro.faults.
+        PropagationCampaign` replays corrupted activations through.
+        Does not touch :attr:`recorded_operands`.
         """
         result = InferenceResult(output=np.asarray(x, dtype=np.float16))
         activation = result.output
         steps: list[TraceStep] = []
-        staged: dict[str, tuple[np.ndarray, np.ndarray, TileConfig]] = {}
         for idx, op in enumerate(self.model.ops):
             if not op.is_linear:
                 activation = op.forward(activation)
                 continue
             a, b, dims = op.lower(activation)
-            rec = self._run_linear(op.name, a, b, (), None, staged)
+            rec, prepared = self._run_linear(op.name, a, b, (), None)
             result.layer_outcomes.append(rec)
             steps.append(
                 TraceStep(
                     name=op.name,
                     op_index=idx,
-                    a=a,
+                    a=self._frozen(a),
                     b=b,
-                    tile=staged[op.name][2],
+                    tile=prepared.tile,
                     dims=dims,
                     outcome=rec.outcome,
+                    prepared=prepared,
                 )
             )
             activation = op.reshape_output(rec.outcome.c, dims)

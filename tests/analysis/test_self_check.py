@@ -114,6 +114,21 @@ class TestGuardDeletionRegression:
         found = lint_source(mutated, path=str(path), config=repo_config)
         assert any(f.rule == "RL002" and "_held" in f.message for f in found)
 
+    @pytest.mark.parametrize("occurrence", (1, 2))
+    def test_unguarding_recorded_states_trips_rl002(
+        self, repo_root, repo_config, occurrence
+    ):
+        # Guards 1 and 2 in inference.py are the operand record's read
+        # (ProtectedInference.recorded_layer) and its commit (run).
+        path = repo_root / "src" / "repro" / "nn" / "inference.py"
+        assert _guard_count(path) == 3
+        mutated = _delete_guard(path.read_text(), occurrence)
+        found = lint_source(mutated, path=str(path), config=repo_config)
+        assert any(
+            f.rule == "RL002" and "_recorded_states" in f.message
+            for f in found
+        )
+
     def test_removing_all_entry_trips_rl006(self, repo_root, repo_config):
         path = repo_root / "src" / "repro" / "__init__.py"
         source = path.read_text()

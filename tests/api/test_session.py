@@ -116,20 +116,13 @@ class TestLayerGemmSession:
 class TestWarmLayerGemmPass:
     """A warm layer-GEMM pass does only work whose result can change."""
 
-    def test_warm_pass_neither_keys_nor_multiplies(self, monkeypatch):
+    def test_warm_pass_neither_keys_nor_multiplies(self, key_calls):
         session = deploy("mlp_bottom", "T4", batch=16)
         session.run()
-        keyed = []
-        key_for = repro.PreparedCache.key_for
-
-        def counting(cache, *args, **kwargs):
-            keyed.append(args)
-            return key_for(cache, *args, **kwargs)
-
-        monkeypatch.setattr(repro.PreparedCache, "key_for", counting)
+        key_calls.clear()
         EXECUTION_STATS.reset()
         warm = session.run()
-        assert keyed == []
+        assert key_calls == []
         assert EXECUTION_STATS.gemms == 0
         fresh = deploy("mlp_bottom", "T4", batch=16).run()
         assert warm.output.tobytes() == fresh.output.tobytes()
@@ -151,6 +144,18 @@ class TestWarmLayerGemmPass:
             a[0, 0] = 1.0
         with pytest.raises(ValueError):
             b[...] = 0.0
+
+    def test_campaign_after_a_pass_neither_keys_nor_multiplies(
+        self, key_calls
+    ):
+        session = deploy("mlp_bottom", "T4", batch=16)
+        session.run()
+        key_calls.clear()
+        EXECUTION_STATS.reset()
+        campaign = session.campaign("fc1", seed=5)
+        assert key_calls == []
+        assert EXECUTION_STATS.gemms == 0
+        assert campaign.prepared is session._layer_state("fc1")
 
     def test_intermediate_outputs_equal_each_layers_gemm(self):
         session = deploy("mlp_bottom", "T4", batch=16)
@@ -205,6 +210,56 @@ class TestNumericSession:
             repro.get_scheme("global"), a, b, tile=tile, seed=11
         ).run(16)
         assert records_identical(result.trials, hand.trials)
+
+    def test_campaign_after_a_pass_neither_keys_nor_multiplies(
+        self, key_calls
+    ):
+        session = deploy("mlp_bottom", "T4", batch=4, runnable=runnable_mlp())
+        x = (np.random.default_rng(3).standard_normal((4, 13)) * 0.5).astype(
+            np.float16
+        )
+        session.run(x)
+        key_calls.clear()
+        EXECUTION_STATS.reset()
+        for layer in session.plan.layer_names:
+            campaign = session.campaign(layer, seed=1)
+            a, b, tile = session.layer_operands(layer)
+            assert campaign.a is a and campaign.tile == tile
+        assert key_calls == []
+        assert EXECUTION_STATS.gemms == 0
+
+    def test_campaign_matches_hand_wired_faultcampaign(self):
+        session = deploy("mlp_bottom", "T4", batch=4, runnable=runnable_mlp())
+        x = (np.random.default_rng(4).standard_normal((4, 13)) * 0.5).astype(
+            np.float16
+        )
+        session.run(x)
+        for layer in session.plan.layer_names:
+            result = session.campaign(layer, seed=5).run(32)
+            a, b, tile = session.layer_operands(layer)
+            hand = repro.FaultCampaign(
+                repro.scheme_from_token(session.plan.layer(layer).scheme),
+                a,
+                b,
+                tile=tile,
+                options=repro.CampaignOptions(
+                    seed=5, cache=repro.PreparedCache()
+                ),
+            ).run(32)
+            assert records_identical(result.trials, hand.trials), layer
+
+    def test_layer_operands_are_read_only(self):
+        session = deploy("mlp_bottom", "T4", batch=4, runnable=runnable_mlp())
+        x = (np.random.default_rng(5).standard_normal((4, 13)) * 0.5).astype(
+            np.float16
+        )
+        session.run(x)
+        a, _, _ = session.layer_operands("fc0")
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+        # The caller's input is never frozen: the record holds copies.
+        assert x.flags.writeable
 
     def test_campaign_before_any_pass_is_rejected(self):
         session = deploy(

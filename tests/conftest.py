@@ -32,3 +32,24 @@ def small_problem() -> GemmProblem:
 def small_tile() -> TileConfig:
     """A small tile configuration legal for any problem."""
     return TileConfig(mb=64, nb=32, kb=32, mw=32, nw=16, mt=4, nt=4)
+
+
+@pytest.fixture
+def key_calls(monkeypatch) -> list:
+    """Every ``PreparedCache.key_for`` call made while the test runs.
+
+    Each entry is the call's positional arguments after the cache
+    (``scheme, a, b[, tile]``) — content lookups, counted directly
+    instead of inferred from timings.
+    """
+    from repro.abft.base import PreparedCache
+
+    calls: list = []
+    key_for = PreparedCache.key_for
+
+    def counting(cache, *args, **kwargs):
+        calls.append(args)
+        return key_for(cache, *args, **kwargs)
+
+    monkeypatch.setattr(PreparedCache, "key_for", counting)
+    return calls

@@ -224,6 +224,35 @@ class TestSessionSurface:
             campaign.run(1, specs=[BIG], faults_per_trial=2)
 
 
+class TestConstructionReusesTheTrace:
+    """Building a campaign looks each layer up once: the traced pass."""
+
+    def test_one_lookup_per_linear_layer(self, session, x, key_calls):
+        campaign = session.propagation_campaign(LAYER, x=x)
+        linear = session.engine.model.linear_names
+        assert len(key_calls) == len(linear)
+        trace = campaign.trace
+        assert campaign._prepared is trace.step(LAYER).prepared
+        downstream = [p for _, p in campaign._downstream if p is not None]
+        assert downstream == [trace.step(n).prepared for n in linear[1:]]
+
+    def test_traced_operands_are_read_only(self, session, x):
+        campaign = session.propagation_campaign(LAYER, x=x)
+        for step in campaign.trace.steps:
+            assert not step.a.flags.writeable
+            assert step.prepared.tile == step.tile
+
+    def test_sharded_records_match_in_process(self, x):
+        def make():
+            return make_session(recovery=RecoveryPolicy()).propagation_campaign(
+                LAYER, x=x, seed=4
+            )
+
+        baseline = make().run_batch(12, workers=1)
+        sharded = make().run_batch(12, workers=2)
+        assert sharded.records == baseline.records
+
+
 class TestReplayLeavesSharedStateAlone:
     def test_int8_replay_does_not_rescale_cached_layers(self):
         # Replay quantizes corrupted activations on the executors of

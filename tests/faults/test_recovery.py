@@ -10,7 +10,7 @@ to a clean pass — output and recorded operands alike.
 import numpy as np
 import pytest
 
-from repro.abft import get_scheme
+from repro.abft import PreparedCache, get_scheme
 from repro.errors import ConfigurationError, RecoveryError
 from repro.faults import (
     FaultKind,
@@ -177,6 +177,24 @@ class TestInferenceRecovery:
         assert set(engine.recorded_operands) == set(reference)
         for name, (a, b, _tile) in engine.recorded_operands.items():
             assert (a.tobytes(), b.tobytes()) == reference[name], name
+
+    @pytest.mark.parametrize(
+        "policy, retries",
+        [
+            (RecoveryPolicy(), 1),
+            (RecoveryPolicy(max_retries=2, fault_model="sticky"), 2),
+        ],
+    )
+    def test_retries_reuse_the_one_lookup_per_layer(
+        self, mlp, x, key_calls, policy, retries
+    ):
+        engine = ProtectedInference(
+            mlp, get_scheme("global"), cache=PreparedCache()
+        )
+        result = engine.run(x, faults={"fc0": [BIG_FAULT]}, recovery=policy)
+        assert result.total_retries == retries
+        # The first execution and every retry inject into one state.
+        assert len(key_calls) == len(mlp.linear_names)
 
     def test_degraded_pass_does_not_commit_operands(self, mlp, x):
         engine = ProtectedInference(

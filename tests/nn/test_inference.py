@@ -9,6 +9,7 @@ from repro.faults import FaultKind, FaultSpec
 from repro.nn import ProtectedInference, SequentialModel
 from repro.nn.inference import Conv2d, Flatten, GlobalAvgPool, Linear, MaxPool2d, ReLU
 from repro.nn.layers import Conv2dSpec, LinearSpec
+from repro.nn.transformer import TransformerBlockSpec, build_transformer_runnable
 
 
 @pytest.fixture
@@ -105,6 +106,24 @@ class TestSharedCache:
         assert set(engine.recorded_operands) == {"conv0", "conv1", "fc"}
         a, b, tile = engine.recorded_operands["conv1"]
         assert a.shape[1] == b.shape[0] and tile is not None
+        assert not a.flags.writeable
+        ra, rb, rtile, prepared = engine.recorded_layer("conv1")
+        assert ra is a and rb is b and rtile == tile == prepared.tile
+
+
+    def test_single_row_attention_records_its_own_copy(self):
+        # One decode row: the attention query slice lowers to a view of
+        # the qkv layer's output, which the caller holds; the record
+        # must not alias it.
+        spec = TransformerBlockSpec(d_model=64, n_heads=2, d_ff=128, seq_len=1)
+        model = build_transformer_runnable("transformer_decoder", spec=spec)
+        engine = ProtectedInference(model, GlobalABFT(), record_operands=True)
+        x = np.random.default_rng(0).standard_normal((1, 64)).astype(np.float16)
+        result = engine.run(x)
+        qkv_out = result.layer_outcomes[0].outcome.c
+        a, _, _ = engine.recorded_operands["attn.h0.scores"]
+        assert not np.shares_memory(a, qkv_out)
+        assert not a.flags.writeable
 
 
 class TestFaultInjectionDuringInference:

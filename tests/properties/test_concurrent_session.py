@@ -10,6 +10,7 @@ session realizations and assert bit-identity with serial execution,
 exactly-once preparation, and no cross-talk between recorded operands.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -231,3 +232,65 @@ class TestNumericSessionStress:
         serial.run(x)
         for layer, seed, keys in results:
             assert keys == _campaign_keys(serial, layer, seed)
+
+    def test_campaigns_racing_fresh_passes_pair_operands_with_state(
+        self, deployed
+    ):
+        """A campaign's operands and its held state come from one pass.
+
+        Campaigns are built on the recorded state by identity while
+        other threads commit passes over new inputs; neither may pair
+        one pass's ``a`` with another pass's prepared state.
+        """
+        session, x = deployed
+        session.run(x)
+        rng = np.random.default_rng(17)
+        inputs = [
+            (rng.standard_normal(x.shape) * 0.5).astype(np.float16)
+            for _ in range(N_THREADS)
+        ]
+        layers = session.plan.layer_names
+        passes_left = [N_THREADS // 2]
+        done = threading.Event()
+        lock = threading.Lock()
+
+        def work(i):
+            if i % 2:
+                for j in range(3):
+                    session.run(inputs[(i + j) % N_THREADS])
+                with lock:
+                    passes_left[0] -= 1
+                    if not passes_left[0]:
+                        done.set()
+                return []
+            built = []
+            # Keep building until every pass has committed, so builds
+            # interleave with the commits.
+            while not done.is_set() or not built:
+                built.extend(
+                    (layer, session.campaign(layer, seed=i))
+                    for layer in layers
+                )
+            return built
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = _race(N_THREADS, work)
+        finally:
+            sys.setswitchinterval(interval)
+        built = [pair for result in results for pair in result]
+        assert built
+        # One check per distinct (operands, state) pairing observed.
+        pairings = {
+            (id(c.a), id(c.prepared)): (layer, c) for layer, c in built
+        }
+        for layer, campaign in pairings.values():
+            held = campaign.prepared
+            fetched = session.cache.get(
+                session.scheme_for(layer), campaign.a, campaign.b,
+                tile=campaign.tile,
+            )
+            if fetched is not held:
+                np.testing.assert_array_equal(fetched.a_pad, held.a_pad)
+                np.testing.assert_array_equal(fetched.c_clean, held.c_clean)
