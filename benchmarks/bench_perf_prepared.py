@@ -417,7 +417,7 @@ def bench_sdc_e2e(*, trials: int, seed: int, repeats: int) -> dict:
     one full protected forward pass per fault set, compared against a
     clean reference pass.  The campaign path answers it through the
     prepared injector — masked trials short-circuit, corrupted ones
-    replay only the downstream layers from the session's shared cache —
+    replay only the downstream layers on the traced prepared states —
     with transient recovery plus bit-identity verification of every
     recovered trial folded in.  Both paths run the identical pre-drawn
     specs and are cross-checked for detection-verdict agreement.

@@ -878,16 +878,6 @@ class Scheme(abc.ABC):
         """Fault-invariant checksum state (override where the scheme has any)."""
         return None
 
-    def _finish(
-        self,
-        prepared: PreparedExecution,
-        c_faulty: np.ndarray,
-        faults: tuple[FaultSpec, ...],
-        detection: DetectionConstants,
-    ) -> ExecutionOutcome:
-        """Single-trial wrapper over :meth:`_finish_batch` (``N == 1``)."""
-        return self._finish_batch(prepared, c_faulty[None], (faults,), detection)[0]
-
     @abc.abstractmethod
     def _finish_batch(
         self,

@@ -14,9 +14,11 @@ Two realizations of the deployed model are supported:
 
 * **Numeric** (``model=`` a :class:`~repro.nn.SequentialModel` whose
   linear-layer names match the plan): forward passes run real
-  activation flow through a :class:`~repro.nn.ProtectedInference`
-  sharing the session cache, and campaigns attack exactly the GEMM
-  operands the last forward pass executed.
+  activation flow through a :class:`~repro.nn.ProtectedInference`,
+  which prepares each fresh activation privately (a byte-identical
+  repeat reuses the recorded states), and campaigns attack exactly the
+  GEMM operands — and the prepared states — the last forward pass
+  executed.
 * **Layer-GEMM** (no ``model``): each planned layer's GEMM is realized
   with seeded synthetic FP16 operands of the planned shape — the
   paper's view of a NN as its sequence of linear-layer GEMMs.  Forward
@@ -77,16 +79,15 @@ class ProtectedSession:
         order).
     cache:
         Share a :class:`~repro.abft.base.PreparedCache` across
-        sessions (e.g. device sweeps over one model); by default the
-        session owns a private one, LRU-bounded to a few entries per
-        layer so a numeric session fed a stream of distinct inputs
-        (each a fresh activation digest, hence a fresh entry holding
-        padded operands and a clean FP32 accumulator) recycles memory
-        instead of growing without bound.  Pass an unbounded
-        ``PreparedCache()`` explicitly to pin everything.  The
-        layer-GEMM realization fetches each layer's state from this
-        cache on the first pass and then holds it by identity:
-        ``cache.clear()`` or eviction does not drop it.
+        sessions (e.g. a fleet family, or device sweeps over one
+        model); by default the session owns a private one, LRU-bounded
+        to a few entries per layer.  The cache serves the layer-GEMM
+        realization, which fetches each layer's state from it on the
+        first pass and then holds it by identity (``cache.clear()`` or
+        eviction does not drop it), and campaigns built with
+        ``options.cache``.  Numeric forward passes never touch it: they
+        prepare fresh activations privately and reuse the engine's
+        recorded states on a byte-identical repeat.
     detection:
         Detection constants for forward passes and campaign defaults;
         ``None`` (default) resolves per layer to the deployed scheme's
@@ -127,7 +128,6 @@ class ProtectedSession:
             self.engine = ProtectedInference(
                 model,
                 self.schemes,
-                cache=self.cache,
                 record_operands=True,
                 detection=detection,
             )
@@ -427,8 +427,9 @@ class ProtectedSession:
         (``recovery`` defaults to the session's policy).  Requires the
         numeric realization (``model=`` at construction): propagation
         is meaningless without real activation flow.  The campaign's
-        clean pass, the struck layer's injections, and the downstream
-        replays all draw from the session's shared cache.
+        clean pass reuses the states of the last :meth:`run` over the
+        same ``x`` (no clean GEMM), and the struck layer's injections
+        and the downstream replays run on that pass's states.
 
         ``layer`` may be omitted for single-layer plans; ``x`` is the
         model input the campaign propagates over;

@@ -183,9 +183,10 @@ class PropagationCampaign:
     engine:
         The :class:`~repro.nn.ProtectedInference` to trace; the
         struck layer's campaign and the downstream replay run on the
-        prepared states of that one clean traced pass, through the
-        engine's shared :class:`~repro.abft.base.PreparedCache` when it
-        owns one.  :meth:`repro.api.ProtectedSession.
+        prepared states of that one clean traced pass.  The trace
+        reuses the engine's recorded states where ``x`` repeats the
+        last recorded pass, so a campaign built after ``run(x)`` runs
+        no clean GEMM.  :meth:`repro.api.ProtectedSession.
         propagation_campaign` uses the session's engine.
     layer:
         The linear layer whose GEMM the faults strike.
@@ -226,10 +227,11 @@ class PropagationCampaign:
         A :class:`~repro.faults.CampaignOptions`; ``seed`` /
         ``batch_size`` / ``workers`` apply here (each settable either
         way, not both), ``significance_factor`` / ``sparse`` forward to
-        the struck layer's GEMM campaign, and ``detection`` / ``cache``
-        must agree with the engine's own (they are engine-derived).
-        ``workers`` is options-only (its keyword alias was removed
-        after one deprecated release).
+        the struck layer's GEMM campaign, ``detection`` must agree
+        with the engine's own, and ``cache`` must be ``None`` (the
+        traced states are the engine's, not a cache's).  ``workers``
+        is options-only (its keyword alias was removed after one
+        deprecated release).
 
     Examples
     --------
@@ -267,9 +269,9 @@ class PropagationCampaign:
         if seed is None:
             seed = 0
         if options is not None:
-            # detection and cache are the engine's by construction; an
-            # options object that disagrees is a wiring error, not a
-            # request this campaign can honor.
+            # detection and prepared states are the engine's by
+            # construction; an options object that asks otherwise is a
+            # wiring error, not a request this campaign can honor.
             if (
                 options.detection is not None
                 and options.detection != engine.detection
@@ -278,10 +280,11 @@ class PropagationCampaign:
                     "PropagationCampaign inherits detection constants "
                     "from its engine; options.detection disagrees"
                 )
-            if options.cache is not None and options.cache is not engine.cache:
+            if options.cache is not None:
                 raise ConfigurationError(
-                    "PropagationCampaign inherits its PreparedCache "
-                    "from its engine; options.cache is a different cache"
+                    "PropagationCampaign runs on its engine's traced "
+                    "states and takes no PreparedCache; options.cache "
+                    "must be None"
                 )
         if workers is not None and workers < 1:
             raise FaultInjectionError(

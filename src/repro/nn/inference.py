@@ -20,7 +20,6 @@ import numpy as np
 
 from ..abft.base import (
     ExecutionOutcome,
-    PreparedCache,
     PreparedExecution,
     PreparedWeights,
     Scheme,
@@ -316,14 +315,6 @@ class ProtectedInference:
         a typo'd key would otherwise leave a layer silently
         unprotected while the caller believes it is covered, so
         unknown names raise :class:`~repro.errors.ModelZooError`.
-    cache:
-        Optional shared :class:`~repro.abft.base.PreparedCache`.  When
-        given, every linear layer's protected GEMM executes through
-        the cache: repeated forward passes over identical activations
-        reuse one prepared state per layer (the clean GEMM runs
-        exactly once), and fault campaigns drawing from the *same*
-        cache (:class:`repro.api.ProtectedSession` wires this up) hit
-        the very entries the forward passes built.
     detection:
         Detection constants every layer's consistency check is
         evaluated under; ``None`` (default) resolves per layer to the
@@ -345,6 +336,15 @@ class ProtectedInference:
         with it (:meth:`recorded_layer`), so campaigns reuse the state
         instead of looking it up again by content.
 
+    Each linear layer's activation-side state is prepared privately,
+    outside any lock and without hashing the activation: a fresh input
+    pays only for the work that depends on it.  The one exception is a
+    byte-identical repeat of the recorded pass (``record_operands=True``
+    only): a layer whose lowered ``a`` has the recorded operand's shape,
+    dtype and bytes reuses the recorded state, so a repeated input (or a
+    :meth:`trace` over the input the last :meth:`run` served) runs no
+    clean GEMM.
+
     Weights are constant across forward passes, so the engine caches a
     :class:`~repro.abft.base.PreparedWeights` per linear layer: the
     padded ``B`` and the weight-side checksum reductions are built on
@@ -361,7 +361,6 @@ class ProtectedInference:
         schemes: Scheme | Mapping[str, Scheme],
         *,
         default_scheme: Scheme | None = None,
-        cache: PreparedCache | None = None,
         record_operands: bool = False,
         detection: DetectionConstants | None = None,
     ) -> None:
@@ -382,7 +381,6 @@ class ProtectedInference:
         self._default = default_scheme or NoProtection()
         self._weight_cache: dict[str, PreparedWeights] = {}
         self.detection = detection
-        self.cache = cache
         self._record_operands = record_operands
         #: Per-layer ``(a, b, tile)`` of the most recent forward pass
         #: (populated only with ``record_operands=True``).
@@ -443,6 +441,28 @@ class ProtectedInference:
             return None
         return (*operands, prepared)
 
+    def _recorded_state_for(
+        self, name: str, a: np.ndarray
+    ) -> PreparedExecution | None:
+        """The recorded state of ``name`` if ``a`` repeats its operand.
+
+        A layer's scheme, ``b`` and tile never change, so the lowered
+        ``a`` alone decides whether the recorded state is this pass's
+        state.  Bytes are compared, not values: NaN never equals
+        itself, yet a NaN-carrying repeat has the same state.
+        """
+        recorded = self.recorded_layer(name)
+        if recorded is None:
+            return None
+        recorded_a, _, _, prepared = recorded
+        if (
+            recorded_a.shape != a.shape
+            or recorded_a.dtype != a.dtype
+            or recorded_a.tobytes() != a.tobytes()
+        ):
+            return None
+        return prepared
+
     def _run_linear(
         self,
         name: str,
@@ -453,17 +473,17 @@ class ProtectedInference:
     ) -> tuple[LayerOutcome, PreparedExecution]:
         """One linear layer's protected GEMM and the state it ran on.
 
-        The state is fetched once per pass — through the shared cache
-        when the engine owns one, privately otherwise (bit-identical
-        either way: it is fault-invariant) — and the recovery retry
-        loop re-enters it, so a recovery costs one re-reduction, not a
-        re-keyed lookup or a re-prepared GEMM.
+        The state is fetched once per pass — the recorded one when
+        :meth:`_recorded_state_for` finds this pass repeating the
+        recorded operand byte for byte, a privately prepared one
+        otherwise (bit-identical either way: it is fault-invariant) —
+        and the recovery retry loop re-enters it, so a recovery costs
+        one re-reduction, not a re-prepared GEMM.
         """
         scheme = self.scheme_for(name)
         weights = self._weights_for(name, scheme, b, a.shape[0])
-        if self.cache is not None:
-            prepared = self.cache.get(scheme, a, b, weights=weights)
-        else:
+        prepared = self._recorded_state_for(name, a)
+        if prepared is None:
             prepared = scheme.prepare(a, b, weights=weights)
 
         def execute(specs: Sequence[FaultSpec]) -> ExecutionOutcome:
@@ -585,11 +605,11 @@ class ProtectedInference:
     def trace(self, x: np.ndarray) -> "InferenceTrace":
         """Clean forward pass capturing every linear layer's GEMM view.
 
-        Runs the model fault-free (through the shared cache when the
-        engine owns one) and records, per linear layer, the lowered
-        operands (``a`` read-only), the pinned tile, the conv reshape
-        dims, the clean execution outcome, and the prepared state —
-        the downstream state a :class:`~repro.faults.
+        Runs the model fault-free (reusing the recorded states where
+        ``x`` repeats the last recorded pass) and records, per linear
+        layer, the lowered operands (``a`` read-only), the pinned tile,
+        the conv reshape dims, the clean execution outcome, and the
+        prepared state — the downstream state a :class:`~repro.faults.
         PropagationCampaign` replays corrupted activations through.
         Does not touch :attr:`recorded_operands`.
         """

@@ -302,13 +302,40 @@ class _TailLinear(_Op):
         return c
 
 
-class _GELU(_Op):
+def _gelu_reference(x: np.ndarray) -> np.ndarray:
     """Tanh-approximation GELU, computed in FP32, emitted in FP16."""
+    x32 = x.astype(np.float32)
+    inner = np.sqrt(2.0 / np.pi) * (x32 + 0.044715 * x32**3)
+    return (0.5 * x32 * (1.0 + np.tanh(inner))).astype(np.float16)
+
+
+def _gelu_table() -> np.ndarray:
+    """:func:`_gelu_reference` at every FP16 bit pattern, read-only.
+
+    Index ``i`` holds GELU of the FP16 value whose bits are ``i``.
+    ``-inf`` maps to NaN (``-inf * 0``), as the formula does.
+    """
+    every_fp16 = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16)
+    with np.errstate(invalid="ignore"):
+        table = _gelu_reference(every_fp16.view(np.float16))
+    table.flags.writeable = False
+    return table
+
+
+_GELU_TABLE = _gelu_table()
+
+
+class _GELU(_Op):
+    """Tanh-approximation GELU as a gather from a 2^16-entry FP16 table.
+
+    Bit-identical to :func:`_gelu_reference` wherever the formula's
+    result is not NaN; where it is NaN (NaN and ``-inf`` inputs) the
+    table's result is NaN too, though its payload may differ.
+    """
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x32 = x.astype(np.float32)
-        inner = np.sqrt(2.0 / np.pi) * (x32 + 0.044715 * x32**3)
-        return (0.5 * x32 * (1.0 + np.tanh(inner))).astype(np.float16)
+        bits = x.astype(np.float16, copy=False).view(np.uint16)
+        return _GELU_TABLE[bits]
 
 
 def build_transformer_runnable(

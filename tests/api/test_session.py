@@ -169,7 +169,7 @@ class TestWarmLayerGemmPass:
 
 
 class TestNumericSession:
-    def test_one_cache_entry_per_layer_per_batch_size(self):
+    def test_one_state_per_layer_per_input_and_no_cache_entries(self):
         session = deploy(
             "mlp_bottom", "T4", batch=4, policy="fixed:global",
             runnable=runnable_mlp(),
@@ -181,7 +181,7 @@ class TestNumericSession:
         EXECUTION_STATS.reset()
         session.run(x4)
         assert EXECUTION_STATS.snapshot() == (3, 3, 3)
-        # Identical activations: every layer hits its cache entry.
+        # Identical activations: every layer reuses its recorded state.
         session.run(x4)
         assert EXECUTION_STATS.snapshot() == (3, 3, 3)
         # New batch size: new activations re-run the clean GEMMs, but
@@ -190,7 +190,17 @@ class TestNumericSession:
         session.run(x8)
         assert EXECUTION_STATS.gemms == 6
         assert EXECUTION_STATS.weight_reductions == 3
-        assert len(session.cache) == 6
+        # Numeric passes prepare outside the session cache.
+        assert len(session.cache) == 0
+
+    def test_fresh_input_pass_neither_keys_nor_caches(self, key_calls):
+        session = deploy("mlp_bottom", "T4", batch=4, runnable=runnable_mlp())
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            x = (rng.standard_normal((4, 13)) * 0.5).astype(np.float16)
+            session.run(x)
+        assert key_calls == []
+        assert len(session.cache) == 0
 
     def test_campaign_attacks_the_executed_gemm(self):
         session = deploy(

@@ -16,12 +16,15 @@ from repro.errors import (
     RecoveryError,
 )
 from repro.faults import (
+    CampaignOptions,
     FaultKind,
     FaultPath,
     FaultSpec,
+    PropagationCampaign,
     PropagationOutcome,
     RecoveryPolicy,
 )
+from repro.gemm import EXECUTION_STATS
 from repro.nn import build_model, build_runnable, runnable_input_shape
 
 MODEL = "mlp_bottom"
@@ -216,6 +219,15 @@ class TestSessionSurface:
         assert result.records[0].divergence == 0.0
         assert session.run(x).output.tobytes() == clean.tobytes()
 
+    def test_rejects_any_options_cache(self, session, x):
+        # Traced states are the engine's; even the session's own cache
+        # is refused rather than silently ignored.
+        with pytest.raises(ConfigurationError, match="options.cache"):
+            PropagationCampaign(
+                session.engine, LAYER, x,
+                options=CampaignOptions(cache=session.cache),
+            )
+
     def test_specs_contract_validation(self, session, x):
         campaign = session.propagation_campaign(LAYER, x=x)
         with pytest.raises(FaultInjectionError, match="disagrees"):
@@ -225,13 +237,18 @@ class TestSessionSurface:
 
 
 class TestConstructionReusesTheTrace:
-    """Building a campaign looks each layer up once: the traced pass."""
+    """Building a campaign reuses the states of the preceding run(x)."""
 
     def test_one_lookup_per_linear_layer(self, session, x, key_calls):
+        session.run(x)
+        EXECUTION_STATS.reset()
         campaign = session.propagation_campaign(LAYER, x=x)
         linear = session.engine.model.linear_names
-        assert len(key_calls) == len(linear)
+        assert key_calls == []
+        assert EXECUTION_STATS.gemms == 0
         trace = campaign.trace
+        for step in trace.steps:
+            assert step.prepared is session.engine.recorded_layer(step.name)[3]
         assert campaign._prepared is trace.step(LAYER).prepared
         downstream = [p for _, p in campaign._downstream if p is not None]
         assert downstream == [trace.step(n).prepared for n in linear[1:]]

@@ -10,7 +10,7 @@ to a clean pass — output and recorded operands alike.
 import numpy as np
 import pytest
 
-from repro.abft import PreparedCache, get_scheme
+from repro.abft import get_scheme
 from repro.errors import ConfigurationError, RecoveryError
 from repro.faults import (
     FaultKind,
@@ -18,6 +18,7 @@ from repro.faults import (
     RecoveryPolicy,
     attempt_recovery,
 )
+from repro.gemm import EXECUTION_STATS
 from repro.nn import ProtectedInference, SequentialModel
 from repro.nn.inference import Linear, ReLU
 from repro.nn.layers import LinearSpec
@@ -188,13 +189,14 @@ class TestInferenceRecovery:
     def test_retries_reuse_the_one_lookup_per_layer(
         self, mlp, x, key_calls, policy, retries
     ):
-        engine = ProtectedInference(
-            mlp, get_scheme("global"), cache=PreparedCache()
-        )
+        engine = ProtectedInference(mlp, get_scheme("global"))
+        EXECUTION_STATS.reset()
         result = engine.run(x, faults={"fc0": [BIG_FAULT]}, recovery=policy)
         assert result.total_retries == retries
-        # The first execution and every retry inject into one state.
-        assert len(key_calls) == len(mlp.linear_names)
+        # The first execution and every retry inject into one privately
+        # prepared state: one clean GEMM per layer, no content keying.
+        assert key_calls == []
+        assert EXECUTION_STATS.gemms == len(mlp.linear_names)
 
     def test_degraded_pass_does_not_commit_operands(self, mlp, x):
         engine = ProtectedInference(

@@ -6,6 +6,7 @@ import pytest
 from repro.abft import GlobalABFT, NoProtection, ThreadLevelOneSided
 from repro.errors import ModelZooError, ShapeError
 from repro.faults import FaultKind, FaultSpec
+from repro.gemm import EXECUTION_STATS
 from repro.nn import ProtectedInference, SequentialModel
 from repro.nn.inference import Conv2d, Flatten, GlobalAvgPool, Linear, MaxPool2d, ReLU
 from repro.nn.layers import Conv2dSpec, LinearSpec
@@ -81,21 +82,49 @@ class TestPerLayerSchemes:
 
 class TestSharedCache:
     def test_cached_passes_bit_identical(self, tiny_cnn, tiny_input):
-        from repro.abft import PreparedCache
-
         plain = ProtectedInference(tiny_cnn, GlobalABFT()).run(tiny_input)
-        cached_engine = ProtectedInference(
-            tiny_cnn, GlobalABFT(), cache=PreparedCache()
+        recording = ProtectedInference(
+            tiny_cnn, GlobalABFT(), record_operands=True
         )
-        cached = cached_engine.run(tiny_input)
-        np.testing.assert_array_equal(cached.output, plain.output)
-
-        from repro.gemm import EXECUTION_STATS
+        first = recording.run(tiny_input)
+        np.testing.assert_array_equal(first.output, plain.output)
 
         EXECUTION_STATS.reset()
-        repeat = cached_engine.run(tiny_input)
+        repeat = recording.run(tiny_input.copy())
         assert EXECUTION_STATS.gemms == 0
         np.testing.assert_array_equal(repeat.output, plain.output)
+
+    def test_engine_takes_no_cache(self, tiny_cnn):
+        from repro.abft import PreparedCache
+
+        with pytest.raises(TypeError, match="cache"):
+            ProtectedInference(tiny_cnn, GlobalABFT(), cache=PreparedCache())
+
+    def test_fresh_input_prepares_every_layer(self, tiny_cnn, tiny_input, key_calls):
+        engine = ProtectedInference(tiny_cnn, GlobalABFT(), record_operands=True)
+        engine.run(tiny_input)
+        held = {name: engine.recorded_layer(name)[3] for name in tiny_cnn.linear_names}
+        EXECUTION_STATS.reset()
+        engine.run(tiny_input * np.float16(2))
+        assert EXECUTION_STATS.gemms == len(tiny_cnn.linear_names)
+        assert key_calls == []
+        for name, state in held.items():
+            assert engine.recorded_layer(name)[3] is not state
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_repeat_reuses_recorded_states(self, tiny_cnn, tiny_input):
+        # NaN != NaN, so only a byte comparison recognizes the repeat.
+        x = tiny_input.copy()
+        x[0, 0, 0, :3] = np.nan
+        engine = ProtectedInference(tiny_cnn, GlobalABFT(), record_operands=True)
+        first = engine.run(x)
+        held = {name: engine.recorded_layer(name)[3] for name in tiny_cnn.linear_names}
+        EXECUTION_STATS.reset()
+        repeat = engine.run(x.copy())
+        assert EXECUTION_STATS.gemms == 0
+        for name, state in held.items():
+            assert engine.recorded_layer(name)[3] is state
+        assert repeat.output.tobytes() == first.output.tobytes()
 
     def test_recorded_operands(self, tiny_cnn, tiny_input):
         engine = ProtectedInference(

@@ -26,7 +26,12 @@ from repro.nn import (
     runnable_input_shape,
     transformer_models,
 )
-from repro.nn.transformer import TRANSFORMER_PRESETS
+from repro.nn.transformer import (
+    _GELU,
+    _GELU_TABLE,
+    TRANSFORMER_PRESETS,
+    _gelu_reference,
+)
 
 
 class TestSpec:
@@ -127,6 +132,53 @@ class TestRunnable:
         assert not result.detected
         spec = TRANSFORMER_PRESETS["transformer_encoder"]
         assert result.output.shape == (spec.rows, spec.d_model)
+
+
+def assert_gelu_matches_reference(x):
+    """The table GELU equals the FP32 formula bit for bit off NaN."""
+    with np.errstate(invalid="ignore"):
+        ref = _gelu_reference(x)
+    out = _GELU().forward(x)
+    assert out.dtype == np.float16 and out.shape == x.shape
+    nan = np.isnan(ref)
+    # The formula's own NaN payload varies with array shape, so NaN
+    # outputs are compared as NaN, everything else by bits.
+    np.testing.assert_array_equal(np.isnan(out), nan)
+    assert np.array_equal(out.view(np.uint16)[~nan], ref.view(np.uint16)[~nan])
+
+
+class TestGeluTable:
+    EVERY_FP16 = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16).view(
+        np.float16
+    )
+
+    def test_table_is_read_only_fp16_per_bit_pattern(self):
+        assert _GELU_TABLE.shape == (1 << 16,)
+        assert _GELU_TABLE.dtype == np.float16
+        assert not _GELU_TABLE.flags.writeable
+
+    def test_every_bit_pattern_matches_reference(self):
+        assert_gelu_matches_reference(self.EVERY_FP16)
+        assert_gelu_matches_reference(self.EVERY_FP16.reshape(256, 256))
+        assert_gelu_matches_reference(self.EVERY_FP16.reshape(16, 64, 64))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_shapes_and_views_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        for ndim in (2, 3):
+            shape = tuple(int(d) for d in rng.integers(1, 70, size=ndim))
+            bits = rng.integers(0, 1 << 16, size=shape, dtype=np.uint32)
+            x = bits.astype(np.uint16).view(np.float16)
+            assert_gelu_matches_reference(x)
+            assert_gelu_matches_reference(x.T)
+            assert_gelu_matches_reference(x[::2, ..., 1::3])
+
+    def test_special_values(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 65504.0], np.float16)
+        out = _GELU().forward(x)
+        assert out[:2].view(np.uint16).tolist() == [0x0000, 0x8000]
+        assert out[2] == np.inf and out[5] == np.float16(65504.0)
+        assert np.isnan(out[3]) and np.isnan(out[4])
 
 
 class TestDeployment:

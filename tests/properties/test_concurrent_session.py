@@ -214,6 +214,39 @@ class TestNumericSessionStress:
             "recorded operands mix activations from different passes"
         )
 
+    @pytest.mark.parametrize("name", ["mlp_bottom", "transformer_encoder"])
+    def test_two_threads_serving_fresh_inputs_match_serial(
+        self, name, key_calls
+    ):
+        batch = 2
+        session = repro.deploy(
+            name, "T4", batch=batch,
+            runnable=build_runnable(name, batch=batch, seed=3),
+        )
+        rng = np.random.default_rng(23)
+        shape = runnable_input_shape(name, batch=batch)
+        inputs = [
+            [(rng.standard_normal(shape) * 0.5).astype(np.float16)
+             for _ in range(3)]
+            for _ in range(2)
+        ]
+
+        def work(i):
+            return [session.run(x).output for x in inputs[i]]
+
+        outputs = _race(2, work)
+        # Fresh inputs prepare privately: no content keying and no
+        # session-cache entries, even with both threads in flight.
+        assert key_calls == []
+        assert len(session.cache) == 0
+        serial = repro.deploy(
+            name, "T4", batch=batch,
+            runnable=build_runnable(name, batch=batch, seed=3),
+        )
+        for thread_inputs, thread_outputs in zip(inputs, outputs):
+            for x, output in zip(thread_inputs, thread_outputs):
+                assert output.tobytes() == serial.run(x).output.tobytes()
+
     def test_concurrent_campaigns_over_recorded_operands(self, deployed):
         session, x = deployed
         session.run(x)
