@@ -4,7 +4,8 @@
 Deploys DLRM MLP-Bottom (batch 32) under every protecting scheme via
 ``repro.deploy`` with a fixed policy, runs randomized single-fault
 campaigns (the paper's §2.3 fault model) against the same deployed
-layer through each session, and prints detection coverage.  Then two
+layer through each session, and prints detection coverage, then
+checks that checksum-path faults only ever raise benign alarms.  Then two
 refinements on the same layer GEMM: the numerical sensitivity
 hierarchy between global and thread-level checks, and the §2.4
 multi-fault extension (r independent checksums detect up to r
@@ -56,6 +57,26 @@ def main() -> None:
         ])
         assert result.coverage == 1.0
     print(table.render())
+
+    # Checksum-path faults (paper §2.3) corrupt only the redundant
+    # computation, so each one can raise nothing but a benign alarm.
+    # The sparse-capable schemes render these trials like any other:
+    # the corrupted references join the struck checks.
+    n_checksum = 12
+    for name, campaign in campaigns.items():
+        rows, cols = campaign.fault_domain
+        specs = [
+            repro.FaultSpec(row=(7 * i) % rows, col=(5 * i) % cols,
+                            kind=repro.FaultKind.ADD,
+                            value=1e4 if i % 2 == 0 else -1e4,
+                            path=repro.FaultPath.CHECKSUM)
+            for i in range(n_checksum)
+        ]
+        result = campaign.run(0, specs)
+        assert result.n_benign_alarms == result.n_trials == n_checksum, name
+        assert result.n_significant == 0, name
+    print(f"\nchecksum-path faults: {n_checksum} ADD +-1e4 trials per scheme, "
+          f"every one a benign alarm on all {len(campaigns)} schemes")
 
     # Sensitivity hierarchy: a corruption between the two schemes'
     # rounding-noise floors is invisible to the whole-output scalar

@@ -34,7 +34,9 @@ thread-level ones — so schemes that declare :attr:`Scheme.
 supports_sparse` derive each trial's struck slices from its fault
 coordinates (:func:`repro.faults.injector.faulted_site_values`), fully
 recompute *only those slices* in the dense composition order, and
-splice them into broadcast copies of the clean check arrays.  The
+render every verdict from the struck checks against the cached clean
+comparison — checksum-path faults simply strike checks on the
+reference side too (:meth:`Scheme._render_verdicts`).  The
 stacked accumulator is never materialized on this path — outcomes
 build theirs lazily on first access — yet every verdict and every
 accumulator element is bit-identical to the dense batch, because each
@@ -71,7 +73,6 @@ from ..faults.injector import (
     FaultSites,
     apply_fault_to_accumulator,
     faulted_site_values,
-    subset_sites,
 )
 from ..faults.model import FaultPath, FaultSpec
 from ..gemm.executor import TiledGemm, executor_for
@@ -896,10 +897,11 @@ class Scheme(abc.ABC):
         reducers in :mod:`repro.abft.checksums`, which guarantee it)."""
 
     def _clean_output_reductions(self, prepared: PreparedExecution) -> Any:
-        """Clean output-side check arrays backing sparse splicing.
+        """Clean output-side check arrays backing sparse re-reduction.
 
         Sparse-capable schemes return the reduction of the *clean*
-        accumulator that the sparse engine splices struck slices into
+        accumulator — the clean comparison's output side, and the
+        partials the global reducers rebuild struck trials from
         (cached on the prepared state by
         :attr:`PreparedExecution.clean_reductions`).
         """
@@ -911,9 +913,9 @@ class Scheme(abc.ABC):
         self, prepared: PreparedExecution
     ) -> tuple[np.ndarray, np.ndarray, int, Any]:
         """``(checksum_side, output_side, n_terms, magnitudes)`` of the
-        clean comparison — the same four quantities the scheme's dense
-        ``_verdicts`` feeds :func:`~repro.abft.detection.
-        compare_checksums_batch`, evaluated on the clean state."""
+        clean comparison — the scheme's one statement of its check
+        arrays' tolerance inputs, evaluated on the clean state and
+        cached as :meth:`PreparedExecution.clean_comparison`."""
         raise NotImplementedError(
             f"scheme {self.name!r} has no sparse re-reduction path"
         )
@@ -931,18 +933,6 @@ class Scheme(abc.ABC):
             f"scheme {self.name!r} has no sparse re-reduction path"
         )
 
-    def _sparse_output_reduction(
-        self, prepared: PreparedExecution, sites: FaultSites
-    ) -> np.ndarray:
-        """Full per-trial output-side check arrays, spliced sparsely.
-
-        The ``splice_*`` reducers in :mod:`repro.abft.checksums`: the
-        dense-shaped arrays the engine's fallback needs for trials
-        whose checksum side was corrupted."""
-        raise NotImplementedError(
-            f"scheme {self.name!r} has no sparse re-reduction path"
-        )
-
     def _references_batch(
         self,
         prepared: PreparedExecution,
@@ -953,16 +943,73 @@ class Scheme(abc.ABC):
             f"scheme {self.name!r} has no batched reference builder"
         )
 
-    def _verdicts(
+    def _render_verdicts(
         self,
         prepared: PreparedExecution,
-        references: np.ndarray,
-        output_side: np.ndarray,
+        trials: np.ndarray,
+        checks: np.ndarray,
+        values: np.ndarray,
+        faults_batch: Sequence[tuple[FaultSpec, ...]],
         detection: DetectionConstants,
     ) -> list[CheckVerdict]:
-        """Dense verdicts for prepared references vs output reductions."""
-        raise NotImplementedError(
-            f"scheme {self.name!r} has no batched verdict renderer"
+        """Every verdict of a batch from its struck checks alone.
+
+        ``(trials, checks, values)`` are the output-side struck checks
+        (one entry per unique pair, trial-major, checks ascending).
+        Trials with checksum-path faults strike the checksum side too:
+        their references are rebuilt, every check whose reference
+        differs from the clean one joins the trial's struck set (``!=``,
+        so a NaN reference always does — recomputing an unchanged
+        check just reproduces its clean residual), and both sides of
+        each merged entry are spliced — the corrupted reference on the
+        left, the struck output value or else the clean one on the
+        right.  :func:`~repro.abft.detection.compare_checksums_sparse`
+        then renders each verdict against the cached clean comparison,
+        bit-identical, field for field, to the full batched comparison.
+        """
+        clean = prepared.clean_comparison(detection)
+        corrupted = np.asarray(
+            [i for i, faults in enumerate(faults_batch)
+             if self._checksum_faults(faults)],
+            dtype=np.intp,
+        )
+        lhs = None
+        if len(corrupted):
+            references = np.asarray(
+                self._references_batch(
+                    prepared, [faults_batch[i] for i in corrupted]
+                )
+            ).reshape(len(corrupted), -1)
+            # NaN references always register as changed (NaN != NaN).
+            with np.errstate(invalid="ignore"):
+                ref_rows, ref_checks = np.nonzero(
+                    references != clean.checksum_side
+                )
+            # One unique over trial * checks + check merges both struck
+            # sets in trial-major, check-ascending order; output-side
+            # entries come first, so ``first`` tells which side struck.
+            n_checks = clean.checks
+            keys, first = np.unique(
+                np.concatenate((
+                    trials * n_checks + checks,
+                    corrupted[ref_rows] * n_checks + ref_checks,
+                )),
+                return_index=True,
+            )
+            trials, checks = np.divmod(keys, n_checks)
+            from_output = first < len(values)
+            merged = clean.output_side[checks]
+            merged[from_output] = values[first[from_output]]
+            values = merged
+            row_of = np.full(len(faults_batch), -1, dtype=np.intp)
+            row_of[corrupted] = np.arange(len(corrupted))
+            rows = row_of[trials]
+            spliced = rows >= 0
+            lhs = clean.checksum_side[checks]
+            lhs[spliced] = references[rows[spliced], checks[spliced]]
+        return compare_checksums_sparse(
+            clean, trials, checks, values,
+            n_trials=len(faults_batch), lhs=lhs,
         )
 
     def _walk_verdicts(
@@ -977,46 +1024,22 @@ class Scheme(abc.ABC):
         A single-site fault perturbs a handful of checks, so a dense
         trial's re-reduced check array differs from the clean one in
         only a few entries: one elementwise comparison finds them, and
-        :func:`~repro.abft.detection.compare_checksums_sparse` renders
-        each verdict from those entries plus the cached clean
-        comparison — bit-identical, field for field, to the full
-        batched comparison (pinned by the dense-walk equivalence test).
-        Trials with checksum-path faults have no clean checksum side to
-        reuse; they take the full comparison.
+        :meth:`_render_verdicts` renders each verdict from those
+        entries plus the cached clean comparison — bit-identical, field
+        for field, to the full batched comparison (pinned by the
+        verdict-oracle test).
         """
-        n = len(faults_batch)
-        corrupted = [
-            i for i, faults in enumerate(faults_batch)
-            if self._checksum_faults(faults)
-        ]
         clean = prepared.clean_comparison(detection)
-        clean_out = np.asarray(
-            self._clean_comparison_inputs(prepared)[1]
-        ).reshape(1, -1)
-        out = np.asarray(output_side)
-        flat = out.reshape(n, -1)
+        flat = np.asarray(output_side).reshape(len(faults_batch), -1)
         # NaN output entries always register as changed (NaN != NaN);
         # their residuals are re-rendered fresh, matching the dense
         # comparison's non-finite handling.
         with np.errstate(invalid="ignore"):
-            trials_idx, checks_idx = np.nonzero(flat != clean_out)
-        verdicts = compare_checksums_sparse(
-            clean,
-            trials_idx,
-            checks_idx,
-            flat[trials_idx, checks_idx],
-            n_trials=n,
-            skip=corrupted,
+            trials, checks = np.nonzero(flat != clean.output_side)
+        return self._render_verdicts(
+            prepared, trials, checks, flat[trials, checks],
+            faults_batch, detection,
         )
-        if corrupted:
-            sub_faults = [faults_batch[i] for i in corrupted]
-            references = self._references_batch(prepared, sub_faults)
-            dense = self._verdicts(
-                prepared, references, out[corrupted], detection
-            )
-            for i, verdict in zip(corrupted, dense):
-                verdicts[i] = verdict
-        return verdicts
 
     def _finish_batch_sparse(
         self,
@@ -1029,36 +1052,17 @@ class Scheme(abc.ABC):
 
         Never materializes per-trial accumulators or check arrays:
         struck checks are re-reduced alone (:meth:`_struck_checks`, in
-        the dense composition order) and verdicts assembled against the
-        cached clean comparison — field-for-field bit-identical to
+        the dense composition order) and every verdict — checksum-path
+        trials included, their corrupted references spliced in by
+        :meth:`_render_verdicts` — is assembled against the cached
+        clean comparison, field-for-field bit-identical to
         :meth:`_finish_batch`, pinned by the sparse-equivalence
-        hypothesis suite.  Trials whose *checksum side* was corrupted
-        (checksum-path faults) have no clean half to compare against;
-        they fall back to the dense comparison on sparsely spliced
-        check arrays (:meth:`_sparse_output_reduction`), still without
-        touching an accumulator stack.
+        hypothesis suite.
         """
-        corrupted = [
-            i for i, faults in enumerate(faults_batch)
-            if self._checksum_faults(faults)
-        ]
         trials, checks, values = self._struck_checks(prepared, sites)
-        verdicts = compare_checksums_sparse(
-            prepared.clean_comparison(detection),
-            trials, checks, values,
-            n_trials=len(faults_batch),
-            skip=corrupted,
+        verdicts = self._render_verdicts(
+            prepared, trials, checks, values, faults_batch, detection
         )
-        if corrupted:
-            sub_sites = subset_sites(sites, corrupted)
-            sub_faults = [faults_batch[i] for i in corrupted]
-            references = self._references_batch(prepared, sub_faults)
-            output_side = self._sparse_output_reduction(prepared, sub_sites)
-            dense_verdicts = self._verdicts(
-                prepared, references, output_side, detection
-            )
-            for i, verdict in zip(corrupted, dense_verdicts):
-                verdicts[i] = verdict
         return self._outcome_batch_sparse(prepared, verdicts, faults_batch)
 
     # ------------------------------------------------------------------

@@ -37,11 +37,12 @@ They are additionally *slice-decomposable*: every dense reducer is
 structured so each output check value is produced by an independent
 core reduction over one contiguous slice of the accumulator (a row, a
 thread tile, or a row partial), composed in a fixed sequential-slice
--add order.  The ``splice_*`` variants exploit this for sparse
+-add order.  The ``struck_*`` variants exploit this for sparse
 re-reduction (DESIGN.md §1.3): given the fault sites of a batch they
 fully recompute *only the struck slices* — with the identical core
-reduction on identically laid-out data — and splice the results into
-broadcast copies of the clean check arrays, which is why the sparse
+reduction on identically laid-out data — and return one value per
+struck check, which the engine renders against the clean comparison
+without ever building a per-trial check array.  That is why the sparse
 path is bit-identical to the dense one rather than merely close.
 """
 
@@ -189,7 +190,7 @@ def output_summation_batch(c_batch: np.ndarray) -> np.ndarray:
     (each row an independent reduction over its contiguous extent,
     matching :func:`output_row_sums`), then one reduction over the row
     partials.  A single-element fault therefore perturbs exactly one
-    row partial, which is what lets :func:`splice_output_summation`
+    row partial, which is what lets :func:`struck_output_summations`
     recompute one row instead of the whole output.
     """
     if c_batch.ndim != 3:
@@ -227,26 +228,6 @@ def struck_output_summations(
     row_sums = np.broadcast_to(clean_row_sums, (len(touched), m_full)).copy()
     row_sums[compact, u_rows] = new_rows
     return touched, row_sums.sum(axis=1)
-
-
-def splice_output_summation(
-    clean_row_sums: np.ndarray,
-    c_clean: np.ndarray,
-    sites: FaultSites,
-) -> np.ndarray:
-    """Sparse per-trial output summations: ``(N,)``.
-
-    Trials without fault sites take the clean summation (the dense
-    per-trial combine reduces the identical row-partial vector, so the
-    value is bit-equal); struck trials get
-    :func:`struck_output_summations`.  Bit-identical to
-    :func:`output_summation_batch` on the materialized batch.
-    """
-    clean_total = clean_row_sums.sum()
-    out = np.full(sites.n_trials, clean_total, dtype=np.float64)
-    touched, values = struck_output_summations(clean_row_sums, c_clean, sites)
-    out[touched] = values
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -345,7 +326,7 @@ def one_sided_struck_rowsums(
     flattened ``(m_full, n_tiles)`` check array, and ``values`` is the
     slice rebuilt from the clean accumulator plus the sites' final
     values, re-reduced with the same left-to-right slice adds as
-    :func:`_slice_sum_f32` — bit-identical to the dense reducer's
+    :func:`_slice_sum` — bit-identical to the dense reducer's
     element for that slice.
     """
     nt = executor.tile.nt
@@ -364,27 +345,6 @@ def one_sided_struck_rowsums(
     ]  # (S, nt) — fresh contiguous copies of the struck slices
     struck[inverse, sites.cols % nt] = sites.values
     return u_trials, u_checks, _slice_sum(struck, 1)
-
-
-def splice_one_sided_rowsums(
-    executor: TiledGemm,
-    clean_rowsums: np.ndarray,
-    c_clean: np.ndarray,
-    sites: FaultSites,
-) -> np.ndarray:
-    """Sparse per-trial thread-tile row-sums: ``(N, m_full, n_tiles)``.
-
-    Broadcast copies of the clean row-sums with the struck slices of
-    :func:`one_sided_struck_rowsums` spliced in.  Bit-identical to
-    :func:`one_sided_output_rowsums_batch` on the materialized batch.
-    """
-    m_full, n_tiles = executor.m_full, executor.n_tiles
-    out = np.broadcast_to(
-        clean_rowsums, (sites.n_trials, m_full, n_tiles)
-    ).copy()
-    trials, checks, values = one_sided_struck_rowsums(executor, c_clean, sites)
-    out[trials, checks // n_tiles, checks % n_tiles] = values
-    return out
 
 
 @dataclass(frozen=True)
@@ -465,27 +425,6 @@ def thread_tile_struck_sums(
     struck[inverse, sites.rows % mt, sites.cols % nt] = sites.values
     rows = _slice_sum(struck, 2)  # (S, mt)
     return u_trials, u_checks, _slice_sum(rows, 1)
-
-
-def splice_thread_tile_sums(
-    executor: TiledGemm,
-    clean_tile_sums: np.ndarray,
-    c_clean: np.ndarray,
-    sites: FaultSites,
-) -> np.ndarray:
-    """Sparse per-trial thread-fragment sums: ``(N, m_tiles, n_tiles)``.
-
-    Broadcast copies of the clean tile sums with the struck tiles of
-    :func:`thread_tile_struck_sums` spliced in.  Bit-identical to
-    :func:`thread_tile_sums_batch` on the materialized batch.
-    """
-    m_tiles, n_tiles = executor.m_tiles, executor.n_tiles
-    out = np.broadcast_to(
-        clean_tile_sums, (sites.n_trials, m_tiles, n_tiles)
-    ).copy()
-    trials, checks, values = thread_tile_struck_sums(executor, c_clean, sites)
-    out[trials, checks // n_tiles, checks % n_tiles] = values
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -628,7 +567,7 @@ def multi_weighted_output_sums(
     call per row), then the row-weight combine.  Each (trial, check)
     scalar comes from the same core loops regardless of the batch size,
     and a single-element fault perturbs exactly one row partial, which
-    is what :func:`splice_multi_weighted_output_sums` exploits.
+    is what :func:`struck_multi_weighted_sums` exploits.
     """
     if c_batch.ndim != 3:
         raise ShapeError(f"stacked C must be 3-D, got {c_batch.ndim}-D")
@@ -673,31 +612,3 @@ def struck_multi_weighted_sums(
     ).copy()
     partials[compact, u_rows] = new_partials[:, 0, :]
     return touched, _multi_combine_row_partials(partials, weights_m)
-
-
-def splice_multi_weighted_output_sums(
-    clean_row_partials: np.ndarray,
-    c_clean: np.ndarray,
-    sites: FaultSites,
-    weights_m: np.ndarray,
-    weights_n: np.ndarray,
-) -> np.ndarray:
-    """Sparse weighted output summations: ``(N, count)``.
-
-    Trials without fault sites take the clean summations (the dense
-    combine contracts the identical row-partial array through the same
-    core calls, so the values are bit-equal); struck trials get
-    :func:`struck_multi_weighted_sums`.  Bit-identical to
-    :func:`multi_weighted_output_sums` on the materialized batch.
-    """
-    clean_sums = _multi_combine_row_partials(
-        clean_row_partials[None], weights_m
-    )[0]
-    out = np.broadcast_to(
-        clean_sums, (sites.n_trials, len(clean_sums))
-    ).copy()
-    touched, values = struck_multi_weighted_sums(
-        clean_row_partials, c_clean, sites, weights_m, weights_n
-    )
-    out[touched] = values
-    return out

@@ -10,9 +10,9 @@ accumulated magnitude can explain.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -229,13 +229,20 @@ class CleanComparison:
     checks keep their clean residuals, and the trial's ``max_residual``
     is found by walking the order past the handful of struck indices
     instead of re-reducing the whole check array.  Valid only while the
-    checksum side stays clean (checksum-path faults corrupt it; those
-    trials take the dense comparison).
+    checksum side stays clean: a trial whose checksum-path faults
+    corrupt a reference passes that check as struck, with the
+    corrupted value as its ``lhs``, so the untouched remainder still
+    holds.
 
     Attributes
     ----------
     checksum_side:
         Flat clean checksum-side values (the comparison's lhs).
+    output_side:
+        Flat clean output-side check values (the comparison's rhs) —
+        what a struck check's rhs falls back to when only its
+        reference was corrupted, and what a dense trial's re-reduced
+        check array is diffed against.
     residual:
         Flat clean ``|lhs - rhs|`` in the comparison working dtype.
     key:
@@ -259,6 +266,7 @@ class CleanComparison:
     """
 
     checksum_side: np.ndarray
+    output_side: np.ndarray
     residual: np.ndarray
     key: np.ndarray
     tol_flat: np.ndarray
@@ -348,6 +356,7 @@ def prepare_clean_comparison(
         max_residual = float("inf")
     return CleanComparison(
         checksum_side=lhs,
+        output_side=rhs,
         residual=residual,
         key=key,
         tol_flat=tol_flat,
@@ -368,56 +377,55 @@ def compare_checksums_sparse(
     values: np.ndarray,
     *,
     n_trials: int,
-    skip: Sequence[int] = (),
-) -> list[CheckVerdict | None]:
+    lhs: np.ndarray | None = None,
+) -> list[CheckVerdict]:
     """Verdicts from struck checks alone, against a clean comparison.
 
     ``(trials, checks, values)`` hold one entry per unique struck
-    (trial, check) pair in trial-major order — a re-reduced output-side
-    check value per struck slice.  Each listed trial's verdict combines
-    its struck checks' fresh residuals with the clean comparison's
-    untouched remainder (set arithmetic for ``detected``/``violations``,
-    an order walk for ``max_residual``); unlisted trials get the clean
+    (trial, check) pair in trial-major order, checks ascending within
+    a trial — ``values`` is each struck check's output-side value.
+    ``lhs`` holds the matching checksum-side values and defaults to
+    the clean ones (``clean.checksum_side[checks]``); trials whose
+    checksum-path faults corrupted a reference pass the corrupted
+    value here.  Each listed trial's verdict combines its struck
+    checks' fresh residuals with the clean comparison's untouched
+    remainder (set arithmetic for ``detected``/``violations``, an
+    order walk for ``max_residual``); unlisted trials get the clean
     verdict outright.  Bit-identical, field for field, to
     :func:`compare_checksums_batch` on the materialized check arrays —
-    pinned by the sparse-equivalence hypothesis suite.
-
-    Trials in ``skip`` (their checksum side was corrupted, so the clean
-    half does not apply) are left as ``None`` for the caller to fill
-    via the dense comparison.
+    pinned by the sparse-equivalence and verdict-oracle hypothesis
+    suites.
     """
+    if lhs is None:
+        lhs = clean.checksum_side[checks]
     with np.errstate(invalid="ignore"):
-        residual = np.abs(
-            np.subtract(clean.checksum_side[checks], values, dtype=clean.dtype)
-        )
+        residual = np.abs(np.subtract(lhs, values, dtype=clean.dtype))
     finite = np.isfinite(residual)
     new_bad = residual > clean.tol_flat[checks]
     new_bad |= ~finite
     new_key = np.where(finite, residual.astype(np.float64), np.inf)
 
-    verdicts: list[CheckVerdict | None] = [None] * n_trials
-    clean_verdict = clean.clean_verdict()
-    skip_set = set(int(i) for i in skip)
-    for i in range(n_trials):
-        if i not in skip_set:
-            verdicts[i] = clean_verdict
-
+    verdicts = [clean.clean_verdict()] * n_trials
     if not len(trials):
         return verdicts
-    order = clean.order
     spans = np.flatnonzero(np.diff(trials)) + 1
-    starts = np.concatenate(([0], spans))
-    ends = np.concatenate((spans, [len(trials)]))
-    for lo, hi in zip(starts, ends):
-        t = int(trials[lo])
-        if t in skip_set:
-            continue
-        struck = [int(c) for c in checks[lo:hi]]
+    starts = np.concatenate(([0], spans)).tolist()
+    ends = np.concatenate((spans, [len(trials)])).tolist()
+    # The walk for max_residual stops at the first clean-order check
+    # outside the trial's struck set, which lies within the first
+    # len(struck) + 1 entries — so only that head of the order is read.
+    head = clean.order[: max(hi - lo for lo, hi in zip(starts, ends)) + 1]
+    head_walk = list(zip(head.tolist(), clean.key[head].tolist()))
+    checks_list = checks.tolist()
+    bad_list = new_bad.tolist()
+    key_list = new_key.tolist()
+    for t, lo, hi in zip(trials[starts].tolist(), starts, ends):
+        struck = checks_list[lo:hi]
         struck_set = set(struck)
 
         # Violations: clean ones outside the struck set, plus struck
         # checks that now violate — ascending, like the dense nonzero.
-        fresh = [struck[j] for j in range(hi - lo) if new_bad[lo + j]]
+        fresh = [c for c, bad in zip(struck, bad_list[lo:hi]) if bad]
         if clean.n_violations:
             kept = [v for v in clean.violations if v not in struck_set]
             fresh = sorted(kept + fresh)
@@ -426,19 +434,16 @@ def compare_checksums_sparse(
         # Max residual: the fresh struck keys vs the clean order walked
         # past the struck indices (expected O(1) steps — a struck check
         # is rarely the clean argmax).
-        best = -np.inf
-        for idx in order:
-            if int(idx) not in struck_set:
-                best = clean.key[idx]
+        best = max(key_list[lo:hi])
+        for idx, key in head_walk:
+            if idx not in struck_set:
+                best = max(best, key)
                 break
-        if hi > lo:
-            best = max(best, new_key[lo:hi].max())
-        max_residual = float(best) if np.isfinite(best) else float("inf")
 
         verdicts[t] = CheckVerdict(
             detected=bool(violations),
             violations=violations,
-            max_residual=max_residual,
+            max_residual=best if math.isfinite(best) else float("inf"),
             tolerance=clean.tolerance,
             checks=clean.checks,
         )

@@ -55,10 +55,8 @@ from .checksums import (
     global_weight_checksums,
     output_row_sums,
     output_summation_batch,
-    splice_output_summation,
     struck_output_summations,
 )
-from .detection import compare_checksums_batch
 
 
 class GlobalABFT(Scheme):
@@ -162,23 +160,6 @@ class GlobalABFT(Scheme):
                 references[i] = corrupted_value(float(references[i]), spec)
         return references
 
-    def _verdicts(
-        self,
-        prepared: PreparedExecution,
-        references: np.ndarray,
-        out_sums: np.ndarray,
-        detection: DetectionConstants,
-    ):
-        chks: GlobalChecksums = prepared.state
-        executor = prepared.executor
-        return compare_checksums_batch(
-            references[:, None],
-            out_sums[:, None],
-            n_terms=executor.m_full * executor.n_full + executor.k_full,
-            magnitudes=chks.magnitude,
-            constants=detection,
-        )
-
     def _finish_batch(
         self,
         prepared: PreparedExecution,
@@ -210,10 +191,3 @@ class GlobalABFT(Scheme):
         )
         # The output summation is the scheme's single check: index 0.
         return touched, np.zeros(len(touched), dtype=np.intp), values
-
-    def _sparse_output_reduction(
-        self, prepared: PreparedExecution, sites: FaultSites
-    ) -> np.ndarray:
-        return splice_output_summation(
-            prepared.clean_reductions, prepared.c_clean, sites
-        )

@@ -39,11 +39,9 @@ from .checksums import (
     multi_row_partials,
     multi_weight_checksums,
     multi_weighted_output_sums,
-    splice_multi_weighted_output_sums,
     struck_multi_weighted_sums,
     vandermonde_weights,
 )
-from .detection import compare_checksums_batch
 
 
 @dataclass(frozen=True)
@@ -207,23 +205,6 @@ class MultiChecksumGlobalABFT(Scheme):
                 )
         return references
 
-    def _verdicts(
-        self,
-        prepared: PreparedExecution,
-        references: np.ndarray,
-        out_sums: np.ndarray,
-        detection: DetectionConstants,
-    ):
-        state: _MultiState = prepared.state
-        executor = prepared.executor
-        return compare_checksums_batch(
-            references,
-            out_sums,
-            n_terms=executor.m_full * executor.n_full + executor.k_full,
-            magnitudes=state.magnitudes,
-            constants=detection,
-        )
-
     def _finish_batch(
         self,
         prepared: PreparedExecution,
@@ -268,12 +249,3 @@ class MultiChecksumGlobalABFT(Scheme):
         trials = np.repeat(touched, r)
         checks = np.tile(np.arange(r, dtype=np.intp), len(touched))
         return trials, checks, values.reshape(-1)
-
-    def _sparse_output_reduction(
-        self, prepared: PreparedExecution, sites: FaultSites
-    ) -> np.ndarray:
-        state: _MultiState = prepared.state
-        return splice_multi_weighted_output_sums(
-            prepared.clean_reductions, prepared.c_clean, sites,
-            state.weights_m, state.weights_n,
-        )

@@ -38,7 +38,6 @@ from .base import (
     SchemePlan,
 )
 from .checksums import (
-    splice_thread_tile_sums,
     thread_tile_struck_sums,
     thread_tile_sums,
     thread_tile_sums_batch,
@@ -190,23 +189,6 @@ class ReplicationSingleAccumulator(Scheme):
                     )
         return replica_sums
 
-    def _verdicts(
-        self,
-        prepared: PreparedExecution,
-        replica_sums: np.ndarray,
-        original_sums: np.ndarray,
-        detection: DetectionConstants,
-    ):
-        chosen = prepared.tile
-        _, magnitudes = prepared.state
-        return compare_checksums_batch(
-            replica_sums,
-            original_sums,
-            n_terms=chosen.mt * chosen.nt,
-            magnitudes=magnitudes,
-            constants=detection,
-        )
-
     def _finish_batch(
         self,
         prepared: PreparedExecution,
@@ -237,11 +219,4 @@ class ReplicationSingleAccumulator(Scheme):
     def _struck_checks(self, prepared: PreparedExecution, sites: FaultSites):
         return thread_tile_struck_sums(
             prepared.executor, prepared.c_clean, sites
-        )
-
-    def _sparse_output_reduction(
-        self, prepared: PreparedExecution, sites: FaultSites
-    ) -> np.ndarray:
-        return splice_thread_tile_sums(
-            prepared.executor, prepared.clean_reductions, prepared.c_clean, sites
         )

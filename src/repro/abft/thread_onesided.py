@@ -44,10 +44,8 @@ from .checksums import (
     one_sided_output_rowsums,
     one_sided_output_rowsums_batch,
     one_sided_struck_rowsums,
-    splice_one_sided_rowsums,
     tile_weight_checksums,
 )
-from .detection import compare_checksums_batch
 
 
 class ThreadLevelOneSided(Scheme):
@@ -147,22 +145,6 @@ class ThreadLevelOneSided(Scheme):
                     )
         return references
 
-    def _verdicts(
-        self,
-        prepared: PreparedExecution,
-        references: np.ndarray,
-        rowsums: np.ndarray,
-        detection: DetectionConstants,
-    ):
-        chks: OneSidedChecksums = prepared.state
-        return compare_checksums_batch(
-            references,
-            rowsums,
-            n_terms=prepared.executor.k_full + prepared.tile.nt,
-            magnitudes=chks.magnitude,
-            constants=detection,
-        )
-
     def _finish_batch(
         self,
         prepared: PreparedExecution,
@@ -190,11 +172,4 @@ class ThreadLevelOneSided(Scheme):
     def _struck_checks(self, prepared: PreparedExecution, sites: FaultSites):
         return one_sided_struck_rowsums(
             prepared.executor, prepared.c_clean, sites
-        )
-
-    def _sparse_output_reduction(
-        self, prepared: PreparedExecution, sites: FaultSites
-    ) -> np.ndarray:
-        return splice_one_sided_rowsums(
-            prepared.executor, prepared.clean_reductions, prepared.c_clean, sites
         )

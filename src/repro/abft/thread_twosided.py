@@ -37,14 +37,12 @@ from .base import (
 from .checksums import (
     TileWeightChecksums,
     TwoSidedChecksums,
-    splice_thread_tile_sums,
     thread_tile_struck_sums,
     thread_tile_sums,
     thread_tile_sums_batch,
     tile_weight_checksums,
     two_sided_checksums,
 )
-from .detection import compare_checksums_batch
 
 
 class ThreadLevelTwoSided(Scheme):
@@ -136,23 +134,6 @@ class ThreadLevelTwoSided(Scheme):
                     )
         return references
 
-    def _verdicts(
-        self,
-        prepared: PreparedExecution,
-        references: np.ndarray,
-        tile_sums: np.ndarray,
-        detection: DetectionConstants,
-    ):
-        chks: TwoSidedChecksums = prepared.state
-        chosen = prepared.tile
-        return compare_checksums_batch(
-            references,
-            tile_sums,
-            n_terms=prepared.executor.k_full * chosen.mt + chosen.mt * chosen.nt,
-            magnitudes=chks.magnitude,
-            constants=detection,
-        )
-
     def _finish_batch(
         self,
         prepared: PreparedExecution,
@@ -181,11 +162,4 @@ class ThreadLevelTwoSided(Scheme):
     def _struck_checks(self, prepared: PreparedExecution, sites: FaultSites):
         return thread_tile_struck_sums(
             prepared.executor, prepared.c_clean, sites
-        )
-
-    def _sparse_output_reduction(
-        self, prepared: PreparedExecution, sites: FaultSites
-    ) -> np.ndarray:
-        return splice_thread_tile_sums(
-            prepared.executor, prepared.clean_reductions, prepared.c_clean, sites
         )

@@ -21,7 +21,7 @@ from __future__ import annotations
 import abc
 import ast
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .config import AnalysisConfig
@@ -202,36 +202,6 @@ def walk_functions(
             yield node
 
 
-def attribute_root(node: ast.expr) -> ast.expr:
-    """Peel subscripts/attributes down to the base expression.
-
-    ``prepared.c_clean[0, 1]`` → the ``prepared`` Name;
-    ``self._entries[key]`` → the ``self`` Name.
-    """
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    return node
-
-
-def contains_name(tree: ast.AST, name: str) -> bool:
-    """Whether ``name`` is loaded anywhere inside ``tree``."""
-    return any(
-        isinstance(node, ast.Name) and node.id == name for node in ast.walk(tree)
-    )
-
-
-def iter_call_attrs(tree: ast.AST, receiver: str) -> Iterator[tuple[str, ast.Call]]:
-    """``(method_name, call_node)`` for every ``receiver.method(...)``."""
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == receiver
-        ):
-            yield node.func.attr, node
-
-
 def literal_str_elements(node: ast.expr) -> list[tuple[str, ast.expr]] | None:
     """``(value, element_node)`` pairs of a static string list/tuple.
 
@@ -249,8 +219,3 @@ def literal_str_elements(node: ast.expr) -> list[tuple[str, ast.expr]] | None:
             return None
         out.append((element.value, element))
     return out
-
-
-def dotted_endswith(dotted: str | None, suffixes: Iterable[str]) -> bool:
-    """Whether a resolved dotted path ends with any of ``suffixes``."""
-    return dotted is not None and any(dotted.endswith(s) for s in suffixes)

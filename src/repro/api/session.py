@@ -341,8 +341,9 @@ class ProtectedSession:
         returned campaign shard across ``N`` worker processes by
         default).  ``detection`` / ``workers`` are options-only fields
         (their keyword aliases were removed after one deprecated
-        release); ``options.cache``, if given, must be the session's
-        own cache.
+        release).  The campaign consults no cache — it runs on the
+        state the session holds — so ``options.cache``, if given, must
+        be the session's own cache; any other cache is rejected.
 
         Example
         -------
@@ -400,7 +401,6 @@ class ProtectedSession:
                 significance_factor=significance_factor,
                 batch_size=batch_size,
                 sparse=sparse,
-                cache=self.cache,
                 workers=workers,
             ),
         )

@@ -390,25 +390,3 @@ def sites_from_flat_specs(
         values=values,
         n_trials=n_trials,
     )
-
-
-def subset_sites(sites: FaultSites, trial_indices: Sequence[int]) -> FaultSites:
-    """Sites of the listed trials, renumbered to the subset's order.
-
-    ``trial_indices[j]`` becomes trial ``j`` of the returned map — the
-    shape the sparse engine's dense-fallback takes when a few trials of
-    a batch (those with corrupted checksum sides) need fully
-    materialized check arrays.
-    """
-    renumber = {int(t): j for j, t in enumerate(trial_indices)}
-    if len(renumber) != len(trial_indices):
-        raise FaultInjectionError("trial_indices must be unique")
-    mask = np.isin(sites.trials, np.asarray(trial_indices, dtype=np.intp))
-    kept = sites.trials[mask]
-    return FaultSites(
-        trials=np.asarray([renumber[int(t)] for t in kept], dtype=np.intp),
-        rows=sites.rows[mask],
-        cols=sites.cols[mask],
-        values=sites.values[mask],
-        n_trials=len(trial_indices),
-    )

@@ -426,10 +426,11 @@ def run_campaign_sharded(
             )
 
     prepared = campaign._prepared
-    if campaign._use_sparse:
+    if prepared.scheme.supports_sparse:
         # Force the lazy clean check arrays (and the comparison's
         # residual order) into the prepared state now so they ride the
-        # shared segment instead of being rebuilt once per worker.
+        # shared segment instead of being rebuilt once per worker —
+        # sparse batches and the dense walk both render against them.
         prepared.clean_reductions
         prepared.clean_comparison(campaign.detection).order
     cfg = _ShardConfig(

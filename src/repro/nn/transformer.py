@@ -153,13 +153,6 @@ def _spec_for(name: str, batch: int | None) -> TransformerBlockSpec:
     return spec
 
 
-def _layer_names(spec: TransformerBlockSpec) -> list[str]:
-    names = ["qkv"]
-    for h in range(spec.n_heads):
-        names += [f"attn.h{h}.scores", f"attn.h{h}.ctx"]
-    return names + ["attn.out", "ffn.fc1", "ffn.fc2"]
-
-
 def build_transformer_graph(
     name: str, *, batch: int | None = None, spec: TransformerBlockSpec | None = None
 ) -> ModelGraph:

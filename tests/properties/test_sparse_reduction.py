@@ -107,7 +107,8 @@ class TestSparseMatchesDense:
     def test_multiple_faults_in_one_slice(self, name):
         """Two faults in the same reduction slice — and the same element
         twice — must re-reduce that slice once with both applied, in
-        spec order, exactly like the dense path."""
+        spec order, exactly like the dense path; a check struck on both
+        the output and the checksum side merges into one entry."""
         a, b = _operands(7)
         prepared = make_scheme(name).prepare(a, b, tile=TILE)
         same_slice = (
@@ -121,7 +122,13 @@ class TestSparseMatchesDense:
             FaultSpec(row=2, col=3, kind=FaultKind.SET, value=8.0),
             FaultSpec(row=2, col=3, kind=FaultKind.BITFLIP_FP32, bit=30),
         )
-        trials = [same_slice, ordered, (), same_slice + ordered]
+        # One check struck on both sides: the output slice by
+        # same_slice, its reference by a checksum-path fault.
+        both_sides = same_slice + (
+            FaultSpec(row=1, col=0, kind=FaultKind.ADD, value=7.0,
+                      path=FaultPath.CHECKSUM),
+        )
+        trials = [same_slice, ordered, (), same_slice + ordered, both_sides]
         dense = prepared.inject_batch(trials, sparse=False)
         sparse = prepared.inject_batch(trials, sparse=True)
         for d, s in zip(dense, sparse):
